@@ -16,8 +16,10 @@ root so later scaling PRs can track the trajectory:
    re-encrypt — at least 4x faster than MODP2048 (in practice ~10-25x).
 """
 
+import gc
 import json
 import secrets
+import statistics
 import time
 from pathlib import Path
 
@@ -271,6 +273,16 @@ def test_backend_primitive_speedup(benchmark):
     )
 
 
+#: messages per timed round and interleaved (envelope, direct) pairs
+ENVELOPE_MESSAGES = 16
+ENVELOPE_PAIRS = 25
+
+
+def _iqr(values) -> float:
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
 @pytest.mark.slow
 def test_envelope_overhead(benchmark):
     """The message-driven node API must be (nearly) free in-process.
@@ -284,6 +296,17 @@ def test_envelope_overhead(benchmark):
        the zero-copy ``InProcessTransport`` vs the pre-refactor direct
        drive (submission verify + ``ctx.mix`` loop + plain exit,
        replicated here as the baseline), asserted within 10%.
+
+    The ratio is the median over ``ENVELOPE_PAIRS`` back-to-back
+    (envelope, direct) pairs, alternating which side runs first, so
+    load drift on a shared machine hits both sides of a pair alike.
+    Each round mixes ``ENVELOPE_MESSAGES`` messages (~0.3 s on P-256 on
+    a 2-vCPU x86-64 VM), far above timer and scheduler noise.  Blocks of
+    min-of-5 samples per side, on rounds half that size, read
+    0.81x-1.25x across six runs on that VM.  The host's speed still
+    swings ~30% within seconds there, so single pair ratios span
+    0.7x-1.6x around a median of ~1.05x; resampling 30 of them, a
+    median of 25 pairs exceeds 1.10 in ~0.2% of runs (15 pairs: ~1%).
     """
     from repro.core import AtomDeployment, Client, DeploymentConfig
     from repro.crypto.vector import CiphertextVector
@@ -325,10 +348,10 @@ def test_envelope_overhead(benchmark):
         with AtomDeployment(build_config()) as dep:
             rnd = dep.start_round(0, rng=DeterministicRng(b"env-round"))
             client = Client(dep.group, DeterministicRng(b"env-client"))
-            for i in range(8):
+            for i in range(ENVELOPE_MESSAGES):
                 dep.submit_plain(rnd, b"m%d" % i, i % 2, client)
             result = dep.run_round(rnd, DeterministicRng(b"env-mix"))
-            assert result.ok and len(result.messages) == 8
+            assert result.ok and len(result.messages) == ENVELOPE_MESSAGES
 
     def run_direct_round() -> None:
         """The seed-era drive: verify at entry, call ctx.mix directly
@@ -340,7 +363,7 @@ def test_envelope_overhead(benchmark):
             rnd = dep.start_round(0, rng=DeterministicRng(b"env-round"))
             client = Client(dep.group, DeterministicRng(b"env-client"))
             holdings = {ctx.gid: [] for ctx in rnd.contexts}
-            for i in range(8):
+            for i in range(ENVELOPE_MESSAGES):
                 gid = i % 2
                 sub = client.prepare_plain(
                     b"m%d" % i, rnd.context(gid).public_key, gid,
@@ -374,16 +397,26 @@ def test_envelope_overhead(benchmark):
                     payload = plaintext_of(rnd.context(gid).scheme, vec)
                     if not fmt.is_dummy_payload(payload):
                         messages.append(fmt.parse_plain_payload(payload))
-            assert len(messages) == 8
+            assert len(messages) == ENVELOPE_MESSAGES
 
-    # Warm both paths (fixed-base tables, pyc) before timing, then
-    # compare best-of-5: min-vs-min cancels scheduler noise on shared
-    # 1-CPU runners, where a median over ~0.2 s samples still flakes.
+    # Warm both paths (fixed-base tables, pyc) before timing.
     run_envelope_round()
     run_direct_round()
-    envelope_s = min(_time_primitive(run_envelope_round, 1) for _ in range(5))
-    direct_s = min(_time_primitive(run_direct_round, 1) for _ in range(5))
-    ratio = envelope_s / direct_s
+    envelope_samples, direct_samples, ratios = [], [], []
+    for i in range(ENVELOPE_PAIRS):
+        order = [run_envelope_round, run_direct_round]
+        if i % 2:
+            order.reverse()
+        sample = {}
+        for fn in order:
+            gc.collect()  # no sample pays for the other side's garbage
+            sample[fn] = _time_primitive(fn, 1)
+        envelope_samples.append(sample[run_envelope_round])
+        direct_samples.append(sample[run_direct_round])
+        ratios.append(sample[run_envelope_round] / sample[run_direct_round])
+    envelope_s = statistics.median(envelope_samples)
+    direct_s = statistics.median(direct_samples)
+    ratio = statistics.median(ratios)
 
     benchmark.pedantic(lambda: batch_env.to_bytes(group), rounds=3, iterations=1)
 
@@ -396,7 +429,7 @@ def test_envelope_overhead(benchmark):
             ("envelope bytes per batch", f"{len(raw):,}"),
             ("inproc coordinator round (s)", f"{envelope_s:.3f}"),
             ("direct-drive round (s)", f"{direct_s:.3f}"),
-            ("inproc / direct", f"{ratio:.3f}x"),
+            ("inproc / direct (median of pairs)", f"{ratio:.3f}x"),
         ],
     )
 
@@ -411,7 +444,10 @@ def test_envelope_overhead(benchmark):
                 "round_group": "P256",
                 "inproc_round_s": round(envelope_s, 4),
                 "direct_round_s": round(direct_s, 4),
+                "round_messages": ENVELOPE_MESSAGES,
+                "pairs": ENVELOPE_PAIRS,
                 "inproc_overhead_ratio": round(ratio, 4),
+                "inproc_overhead_ratio_iqr": round(_iqr(ratios), 4),
             }
         }
     )

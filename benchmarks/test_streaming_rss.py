@@ -1,8 +1,8 @@
 """Bounded-memory data plane (``"streaming_rss"`` in BENCH_fastexp.json).
 
 Runs one complete seeded round per data plane in a **subprocess**
-(``scripts/stream_rss.py``) so ``ru_maxrss`` is the round's own peak
-RSS, not the pytest process's, and asserts the batch+spill plane stays
+(``scripts/stream_rss.py``, which reads ``VmHWM``) so the peak is the
+round's own peak RSS, not the pytest process's, and asserts the batch+spill plane stays
 under a fixed memory bound while recording msgs/s for trajectory
 tracking.  The default tier is sized for the tier-1 budget; scale it
 up with environment variables, e.g. the acceptance-scale run:

@@ -3,7 +3,7 @@
 Runs a complete seeded round (intake -> padding -> mixing -> exit)
 through the configured data plane and prints one JSON object on
 stdout, so the streaming-RSS benchmark (benchmarks/test_streaming_rss.py)
-can run it as a subprocess and read an isolated ``ru_maxrss`` — peak
+can run it as a subprocess and read the round's own peak RSS — peak
 RSS of a shared pytest process would be polluted by every test that
 ran before it.
 
@@ -14,15 +14,19 @@ Usage:
 
 import argparse
 import json
-import resource
 import sys
 import time
 
 
 def peak_rss_mib() -> float:
-    # Linux reports ru_maxrss in KiB (macOS in bytes; this repo's CI
-    # and container are Linux).
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    """``VmHWM``: this process's own peak RSS.  It resets at exec,
+    unlike ``ru_maxrss``, which a child inherits from its parent (a
+    pytest parent's peak would mask the round's)."""
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    raise RuntimeError("/proc/self/status has no VmHWM")
 
 
 def main() -> int:

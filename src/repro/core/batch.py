@@ -26,6 +26,12 @@ O(python objects):
 - :meth:`vector` / iteration — decode one record at a time, so legacy
   call sites (exit, dummy padding, blame) stream through a batch
   without ever materializing the whole object graph.
+- :meth:`take` — the mixing chain's read: a batch built with
+  ``remember=True`` keeps the vectors it encoded and hands each one
+  over once, so the next participant skips decoding (on P-256, a
+  square root per point).  Views, copies and parsed batches never
+  remember: points that cross a batch boundary are decoded and
+  validated.
 
 Encoding is group-independent (``element.to_bytes()`` carries its own
 width); only decoding needs the bound ``group`` to validate membership
@@ -42,7 +48,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.crypto.elgamal import AtomCiphertext
 from repro.crypto.groups import GroupBackend as Group
@@ -120,15 +126,26 @@ def _scan_record(buf, pos: int, end: int, element_bytes: int) -> int:
 class CiphertextBatch:
     """Many ciphertext vectors in one buffer + offset table."""
 
-    __slots__ = ("group", "_buf", "_starts")
+    __slots__ = ("group", "_buf", "_starts", "_memo")
 
-    def __init__(self, group: Group, buf=None, starts: Optional[List[int]] = None):
+    def __init__(
+        self,
+        group: Group,
+        buf=None,
+        starts: Optional[List[int]] = None,
+        remember: bool = False,
+    ):
         self.group = group
         #: bytearray when owned, memoryview/bytes when a zero-copy view
         self._buf = bytearray() if buf is None else buf
         #: start offset of record i; record i ends at start of i+1 (or
         #: at the end of the buffer — views end exactly on a record)
         self._starts: List[int] = [] if starts is None else starts
+        #: record index -> the vector this batch encoded there itself,
+        #: until :meth:`take` hands it over (``remember=True`` only)
+        self._memo: Optional[Dict[int, CiphertextVector]] = (
+            {} if remember else None
+        )
 
     # -- construction --------------------------------------------------
 
@@ -206,6 +223,8 @@ class CiphertextBatch:
 
     def append(self, vec: CiphertextVector) -> None:
         buf = self._materialize()
+        if self._memo is not None:
+            self._memo[len(self._starts)] = vec
         self._starts.append(len(buf))
         encode_vector_record(buf, vec)
 
@@ -260,6 +279,19 @@ class CiphertextBatch:
         if pos != end:
             raise BatchFormatError(f"record {i} decoded to wrong length")
         return CiphertextVector(tuple(parts))
+
+    def take(self, i: int) -> CiphertextVector:
+        """Record ``i`` for a consumer that reads each record once.
+
+        A remembering batch hands over (and forgets) the vector it
+        encoded there itself, so a group's participant chain decodes a
+        point only where it entered the group; any other record is
+        decoded and validated by :meth:`vector`."""
+        if self._memo:
+            vec = self._memo.pop(i, None)
+            if vec is not None:
+                return vec
+        return self.vector(i)
 
     def __iter__(self) -> Iterator[CiphertextVector]:
         for i in range(len(self._starts)):

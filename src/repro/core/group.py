@@ -295,11 +295,15 @@ class GroupContext:
            index order over the whole buffer, so ReEnc streams without
            materializing per-successor lists.
 
-        Records are decoded one at a time and re-encoded into a fresh
-        output buffer, so peak memory is two serialized buffers (plus
-        one vector), never an object graph of the whole round.  Gated
-        by :meth:`streaming_safe` — callers route instrumented groups
-        and the NIZK variant through the object path.
+        Each participant's output is a fresh buffer that also remembers
+        the vectors it encoded, handed over once to the next participant
+        (:meth:`CiphertextBatch.take`): a point is decoded once per
+        layer, where it enters the group.  Peak memory is two serialized
+        buffers plus one group batch of vectors (the input's memo drains
+        as the output's fills), never an object graph of the whole
+        round.  Gated by :meth:`streaming_safe` — callers route
+        instrumented groups and the NIZK variant through the object
+        path.
         """
         from repro.core.batch import CiphertextBatch
 
@@ -338,13 +342,13 @@ class GroupContext:
                 ]
                 for i in range(n)
             ]
-            out = CiphertextBatch(self.group)
+            out = CiphertextBatch(self.group, remember=True)
             for i in range(n):
                 out.append(
                     rerandomize_vector(
                         self.scheme,
                         self.public_key,
-                        current.vector(perm[i]),
+                        current.take(perm[i]),
                         rands[i],
                     )
                 )
@@ -359,11 +363,11 @@ class GroupContext:
             # Appendix A: the last server sets Y' = ⊥ before forwarding
             # (fused per vector — with_y_bot draws no randomness)
             strip_y = last and next_keys[0] is not None
-            out = CiphertextBatch(self.group)
+            out = CiphertextBatch(self.group, remember=True)
             for i in range(n):
                 vec = reencrypt_vector(
                     self.scheme, secret, next_keys[i // per],
-                    current.vector(i), rng,
+                    current.take(i), rng,
                 )
                 if strip_y:
                     vec = vec.with_y_bot()

@@ -305,6 +305,17 @@ class StreamReport:
         return "\n".join(lines)
 
 
+def _round_keys(rnd: Optional[Round]) -> set:
+    """The public keys a round encrypts under: its groups' and (trap
+    variant) its trustees'."""
+    if rnd is None:
+        return set()
+    keys = {ctx.public_key for ctx in rnd.contexts}
+    if rnd.trustees is not None:
+        keys.add(rnd.trustees.public_key)
+    return keys
+
+
 class StreamEngine:
     """Persistent multi-round deployment lifecycle (see module docstring)."""
 
@@ -733,6 +744,12 @@ class StreamEngine:
             self._honest.pop(r, None)
             if rnd.coordinator is not None:
                 rnd.coordinator.release()
+            # Its keys' fixed-base tables die with it, unless the next
+            # round still uses them (a stream keeps its groups' keys
+            # across rounds); the generator's table stays.
+            self.deployment.group.drop_fixed_bases(
+                _round_keys(rnd) - _round_keys(next_rnd)
+            )
             if self.on_round_settled is not None:
                 self.on_round_settled(r)
             rnd, stats = next_rnd, next_stats

@@ -25,6 +25,30 @@ arithmetic:
   cheaper Jacobian+affine formulas.
 - ``a = -3`` doubling shortcut (standard for the NIST curves).
 
+The mixing hot path (ReEnc and Rerand, once per ciphertext part per
+server per layer) is specialized further:
+
+- **wNAF variable-base multiply** (:func:`_mul_var`): width-5 NAF
+  digits over a batch-normalized affine table of odd multiples, with
+  the doubling and mixed addition inlined.  A server's secret is
+  recoded once per pass (:func:`_wnaf` is memoized).
+- **Signed-digit comb** (:class:`JacobianComb`): width-5 signed
+  digits (negation is free on a curve) and the mixed addition inlined
+  in ``pow``.
+- **Jacobian-composed ElGamal steps**: ``EcGroup._rerandomize_parts``
+  and ``_reencrypt_parts`` (hooks of ``GroupBackend``) keep Enc,
+  Rerand and ReEnc in Jacobian coordinates and normalize each output
+  ``(R, c)`` pair with one shared inversion.
+- **One decode per layer** lives in ``repro.core.batch``: a group's
+  participants hand decoded vectors down the chain, so a point is
+  decompressed (a square root) only where it enters the group.
+
+Results are unique affine points, so all of this is byte-identical to
+the element-wise formulas.  A native kernel through the OpenSSL that
+``cryptography`` bundles was measured 3.1x faster end to end but adds
+~7 MiB RSS on import (+24% peak RSS of a benchmark stream), so the
+backend stays pure Python.
+
 Element serialization is SEC1 compressed: 33 bytes (``02``/``03`` ‖
 x-coordinate); the integer ``value`` of a point is that byte string as
 a big-endian integer (``0`` for the identity), which is what proof
@@ -42,9 +66,10 @@ prime-order group and :meth:`EcGroup.is_prime_order` is structural.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
-from repro.crypto.fastexp import FixedBaseComb, jacobi, multiexp_ops
+from repro.crypto.fastexp import jacobi, multiexp_ops
 from repro.crypto.groups import EncodingError, GroupBackend
 
 # -- curve constants (SEC2 / FIPS 186-4, secp256r1) -------------------------
@@ -68,7 +93,9 @@ _INF: Tuple[int, int, int] = (1, 1, 0)
 
 
 def _jdbl(pt: Tuple[int, int, int]) -> Tuple[int, int, int]:
-    """Point doubling, dbl-2001-b formulas for ``a = -3``."""
+    """Point doubling, dbl-2001-b formulas for ``a = -3`` (with
+    ``Z3 = 2*Y1*Z1``, one multiplication instead of a square and two
+    subtractions)."""
     X1, Y1, Z1 = pt
     if not Z1:
         return _INF
@@ -77,8 +104,8 @@ def _jdbl(pt: Tuple[int, int, int]) -> Tuple[int, int, int]:
     beta = X1 * gamma % P
     alpha = 3 * (X1 - delta) * (X1 + delta) % P
     X3 = (alpha * alpha - 8 * beta) % P
-    Z3 = ((Y1 + Z1) * (Y1 + Z1) - gamma - delta) % P
     Y3 = (alpha * (4 * beta - X3) - 8 * gamma * gamma) % P
+    Z3 = (Y1 + Y1) * Z1 % P
     return (X3, Y3, Z3)
 
 
@@ -209,23 +236,170 @@ class JacobianOps:
 JAC_OPS = JacobianOps()
 
 
-def _scalar_mult(point: Tuple[int, int, int], scalar: int) -> Tuple[int, int, int]:
-    """Generic 4-bit windowed scalar multiplication (uncached bases)."""
+# -- the hot loops: variable-base wNAF and the fixed-base comb --------------
+#
+# Both loops inline their point arithmetic (madd-2004-hmv for the mixed
+# add, the ``_jdbl`` formulas for doubling): a Python call per group
+# operation costs more than the saving of any formula tweak.  Each
+# mixed add checks for the identity on either side and for ``H == 0``
+# (equal or opposite points) -- those cases never arise for a valid
+# scalar and a prime-order base, but a point built from raw
+# coordinates may lie on the twist, and the loops must stay exact there.
+
+
+@lru_cache(maxsize=16)
+def _wnaf(e: int) -> Tuple[int, ...]:
+    """Width-5 NAF of ``e > 0``, most significant digit first
+    (Hankerson-Menezes-Vanstone, *Guide to ECC*, Alg. 3.35).
+
+    Every digit is 0 or odd with ``|d| < 16``, and a nonzero digit is
+    followed by at least four zeros, so a 256-bit scalar costs ~43
+    additions.  Cached: a mixing server multiplies every ciphertext of
+    a pass by the same secret, which is therefore recoded once per
+    pass, not once per ciphertext."""
+    digits = []
+    while e:
+        if e & 1:
+            d = e & 31
+            if d > 16:
+                d -= 32
+            e -= d
+        else:
+            d = 0
+        digits.append(d)
+        e >>= 1
+    digits.reverse()
+    return tuple(digits)
+
+
+def _odd_multiples(point: Tuple[int, int, int]) -> List[Tuple[int, int, int]]:
+    """``d * point`` in affine form for odd ``d`` in ``±1..±15``, indexed
+    by ``d`` itself (a negative index wraps: entry ``-3`` is
+    ``-3 * point``).  One shared inversion normalizes all eight."""
+    two = _jdbl(point)
+    odd = [point]
+    for _ in range(7):
+        odd.append(_jmul(odd[-1], two))
+    table: List[Tuple[int, int, int]] = [_INF] * 32
+    for i, (x, y, z) in enumerate(_batch_to_affine(odd)):
+        table[2 * i + 1] = (x, y, z)
+        table[-2 * i - 1] = (x, -y % P, z)
+    return table
+
+
+def _mul_var(point: Tuple[int, int, int], scalar: int) -> Tuple[int, int, int]:
+    """``scalar * point`` for a base without a comb table: width-5 wNAF
+    over the affine odd multiples (ReEnc's ``Y ** secret``, and the
+    variable bases of proof verification)."""
     e = scalar % N
     if not e or not point[2]:
         return _INF
-    # Digit table 1..15; built with mixed adds when the base is affine.
-    table = [_INF, point]
-    for _ in range(14):
-        table.append(_jmul(table[-1], point))
-    acc = _INF
-    for shift in range(e.bit_length() - e.bit_length() % 4, -4, -4):
-        if acc is not _INF:
-            acc = _jdbl(_jdbl(_jdbl(_jdbl(acc))))
-        digit = (e >> shift) & 0xF
-        if digit:
-            acc = _jmul(acc, table[digit])
-    return acc
+    table = _odd_multiples(point)
+    digits = _wnaf(e)
+    p = P
+    X1, Y1, Z1 = table[digits[0]]
+    for d in digits[1:]:
+        delta = Z1 * Z1 % p
+        gamma = Y1 * Y1 % p
+        beta = X1 * gamma % p
+        alpha = 3 * (X1 - delta) * (X1 + delta) % p
+        Z1 = (Y1 + Y1) * Z1 % p
+        X1 = (alpha * alpha - 8 * beta) % p
+        Y1 = (alpha * (4 * beta - X1) - 8 * gamma * gamma) % p
+        if not d:
+            continue
+        x2, y2, z2 = table[d]
+        if not z2:
+            continue
+        if not Z1:
+            X1, Y1, Z1 = x2, y2, 1
+            continue
+        zz = Z1 * Z1 % p
+        H = (x2 * zz - X1) % p
+        r = (y2 * zz * Z1 - Y1) % p
+        if not H:
+            X1, Y1, Z1 = _INF if r else _jdbl((X1, Y1, Z1))
+            continue
+        HH = H * H % p
+        HHH = H * HH % p
+        V = X1 * HH % p
+        X1 = (r * r - HHH - 2 * V) % p
+        Y1 = (r * (V - X1) - Y1 * HHH) % p
+        Z1 = Z1 * H % p
+    return (X1, Y1, Z1) if Z1 else _INF
+
+
+#: comb rows: width-5 signed digits of a scalar below N (a carry out of
+#: the top digit needs the extra bit)
+_COMB_ROWS = (N.bit_length() + 5) // 5
+
+
+class JacobianComb:
+    """Fixed-base comb for P-256: every ``g^r`` and ``X^r`` of Enc, Rerand
+    and ReEnc.
+
+    The algorithm of :class:`~repro.crypto.fastexp.FixedBaseComb` (row
+    ``j`` holds ``d * 2^(5j) * base``, one addition per window, no
+    doublings), with two changes only a curve allows or needs:
+
+    - signed digits in ``-15..16``: negating an affine point is free,
+      so a row holds 16 points instead of 31 and a 256-bit scalar costs
+      ~51 additions (the unsigned width-4 comb: ~60, over 1024 points);
+    - the mixed addition inlined in :meth:`pow`, the way
+      :class:`~repro.crypto.fastexp.FixedBaseExp` inlines the modular
+      multiply.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, base: Tuple[int, int, int]):
+        rows = []
+        b = base
+        for _ in range(_COMB_ROWS):
+            row = [_INF, b]
+            for _ in range(15):
+                row.append(_jmul(row[-1], b))
+            rows.append(row)
+            b = _jdbl(row[16])  # 32 * b: the next row's base
+        flat = _batch_to_affine([pt for row in rows for pt in row])
+        self._rows = [flat[i: i + 17] for i in range(0, len(flat), 17)]
+
+    def pow(self, exponent: int) -> Tuple[int, int, int]:
+        """``exponent * base`` (Jacobian), the exponent reduced mod N."""
+        e = exponent % N
+        p = P
+        X1, Y1, Z1 = _INF
+        for row in self._rows:
+            if not e:
+                break
+            d = e & 31
+            e >>= 5
+            if d > 16:
+                e += 1  # d - 32, borrowing from the next digit
+                x2, y2, z2 = row[32 - d]
+                y2 = p - y2
+            elif d:
+                x2, y2, z2 = row[d]
+            else:
+                continue
+            if not z2:
+                continue
+            if not Z1:
+                X1, Y1, Z1 = x2, y2, 1
+                continue
+            zz = Z1 * Z1 % p
+            H = (x2 * zz - X1) % p
+            r = (y2 * zz * Z1 - Y1) % p
+            if not H:
+                X1, Y1, Z1 = _INF if r else _jdbl((X1, Y1, Z1))
+                continue
+            HH = H * H % p
+            HHH = H * HH % p
+            V = X1 * HH % p
+            X1 = (r * r - HHH - 2 * V) % p
+            Y1 = (r * (V - X1) - Y1 * HHH) % p
+            Z1 = Z1 * H % p
+        return (X1, Y1, Z1) if Z1 else _INF
 
 
 # -- the element and group classes ------------------------------------------
@@ -322,7 +496,7 @@ class EcPoint:
         table = self.group._table_hit(self.value)
         if table is not None:
             return self.group._wrap_raw(table.pow(exponent))
-        return self.group._wrap_raw(_scalar_mult(self._jac(), exponent))
+        return self.group._wrap_raw(_mul_var(self._jac(), exponent))
 
     def inverse(self) -> "EcPoint":
         if self.x is None:
@@ -378,15 +552,47 @@ class EcGroup(GroupBackend):
 
     # -- fast exponentiation hooks ------------------------------------
 
-    def _build_table(self, value: int) -> FixedBaseComb:
-        point = self.element(value)
-        return FixedBaseComb(JAC_OPS, N, point._jac())
+    def _build_table(self, value: int) -> JacobianComb:
+        return JacobianComb(self.element(value)._jac())
+
+    def _pow_raw(self, base: EcPoint, exponent: int) -> Tuple[int, int, int]:
+        return _mul_var(base._jac(), exponent)
 
     def _wrap_raw(self, raw: Tuple[int, int, int]) -> EcPoint:
         affine = _to_affine(raw)
         if affine is None:
             return self.identity
         return EcPoint(self, affine[0], affine[1])
+
+    def _wrap_pair(
+        self, a: Tuple[int, int, int], b: Tuple[int, int, int]
+    ) -> Tuple[EcPoint, EcPoint]:
+        """Two Jacobian results as points, with one shared inversion."""
+        return tuple(
+            EcPoint(self, x, y) if z else self.identity
+            for x, y, z in _batch_to_affine((a, b))
+        )
+
+    # -- composed ElGamal steps ---------------------------------------
+    #
+    # Both run in Jacobian coordinates end to end; the only inversion
+    # is the one that normalizes the output pair.
+
+    def _rerandomize_parts(self, public_key, R, c, r):
+        return self._wrap_pair(
+            _jmul(self._g_raw(r), R._jac()),
+            _jmul(self._pow_cached_raw(public_key, r), c._jac()),
+        )
+
+    def _reencrypt_parts(self, secret, Y, R, c, next_public_key, r):
+        X, Yy, Z = _mul_var(Y._jac(), secret)
+        c_tmp = _jmul((X, -Yy % P, Z), c._jac())  # c / Y^secret
+        if next_public_key is None:
+            return R, self._wrap_raw(c_tmp)
+        return self._wrap_pair(
+            _jmul(self._g_raw(r), R._jac()),
+            _jmul(self._pow_cached_raw(next_public_key, r), c_tmp),
+        )
 
     def multiexp(self, bases, exponents, window: int = 0) -> EcPoint:
         """Straus multi-exponentiation in Jacobian coordinates."""

@@ -92,8 +92,10 @@ class AtomElGamal:
         """``Enc(X, m)``: returns the ciphertext and the randomness ``r``
         (needed by :class:`~repro.crypto.nizk.EncProof`)."""
         r = randomness if randomness is not None else self.group.random_scalar(rng)
-        R = self.group.g_pow(r)
-        c = message * self.group.pow_cached(public_key, r)
+        # Enc is Rerand of the trivial ciphertext (identity, m)
+        R, c = self.group._rerandomize_parts(
+            public_key, self.group.identity, message, r
+        )
         return AtomCiphertext(R=R, c=c, Y=None), r
 
     def decrypt(self, secret: int, ciphertext: AtomCiphertext) -> GroupElement:
@@ -115,11 +117,10 @@ class AtomElGamal:
         if ciphertext.Y is not None:
             raise ValueError("Shuffle requires Y = ⊥")
         r = randomness if randomness is not None else self.group.random_scalar(rng)
-        return AtomCiphertext(
-            R=self.group.g_pow(r) * ciphertext.R,
-            c=ciphertext.c * self.group.pow_cached(public_key, r),
-            Y=None,
+        R, c = self.group._rerandomize_parts(
+            public_key, ciphertext.R, ciphertext.c, r
         )
+        return AtomCiphertext(R=R, c=c, Y=None)
 
     def shuffle(
         self,
@@ -169,15 +170,11 @@ class AtomElGamal:
         R, c, Y = ciphertext.R, ciphertext.c, ciphertext.Y
         if Y is None:
             Y, R = R, self.group.identity
-        c_tmp = c / (Y ** secret)
-        if next_public_key is None:
-            return AtomCiphertext(R=R, c=c_tmp, Y=Y)
-        r = randomness if randomness is not None else self.group.random_scalar(rng)
-        return AtomCiphertext(
-            R=self.group.g_pow(r) * R,
-            c=c_tmp * self.group.pow_cached(next_public_key, r),
-            Y=Y,
-        )
+        r = None
+        if next_public_key is not None:
+            r = randomness if randomness is not None else self.group.random_scalar(rng)
+        R, c = self.group._reencrypt_parts(secret, Y, R, c, next_public_key, r)
+        return AtomCiphertext(R=R, c=c, Y=Y)
 
     def reencrypt_batch(
         self,

@@ -178,8 +178,10 @@ class GroupBackend:
     (reversible message embedding), ``is_prime_order`` (subgroup
     membership of an element), ``multiexp`` (Straus chain in the
     backend's native representation), ``element_bytes`` (serialized
-    width), plus the two fixed-base-cache hooks ``_build_table`` /
-    ``_wrap_raw``.
+    width), plus the fixed-base-cache hooks ``_build_table`` /
+    ``_pow_raw`` / ``_wrap_raw``.  ``_rerandomize_parts`` /
+    ``_reencrypt_parts`` (the ElGamal steps) have element-wise defaults
+    a backend may override.
 
     Elements expose ``*``, ``/``, ``**``, ``inverse``, ``is_identity``,
     ``to_bytes`` and an integer ``value`` that round-trips through
@@ -236,12 +238,43 @@ class GroupBackend:
             self._fixed_cache[value] = table
         return table
 
+    def drop_fixed_bases(self, bases) -> None:
+        """Forget the tables and promotion counts of ``bases`` (elements
+        whose keys are dead, e.g. a settled round's); the generator's
+        table always stays."""
+        gen_key = self.g.value
+        for base in bases:
+            if base.value != gen_key:
+                self._fixed_cache.pop(base.value, None)
+                self._fixed_counts.pop(base.value, None)
+
+    def _g_raw(self, exponent: int):
+        """``g^exponent`` in the raw representation (generator table)."""
+        table = self._fixed_cache.get(self.g.value)
+        if table is None:
+            table = self.fixed_base(self.g)
+        return table.pow(exponent)
+
     def g_pow(self, exponent: int):
         """``g^exponent`` via the generator's fixed-base table."""
-        gen_key = self.g.value
-        if gen_key not in self._fixed_cache:
-            self.fixed_base(self.g)
-        return self._wrap_raw(self._fixed_cache[gen_key].pow(exponent))
+        return self._wrap_raw(self._g_raw(exponent))
+
+    def _pow_cached_raw(self, base, exponent: int):
+        """:meth:`pow_cached` in the raw representation."""
+        value = base.value
+        table = self._table_hit(value)
+        if table is None and not base.is_identity():
+            seen = self._fixed_counts.get(value, 0) + 1
+            if seen > self.FIXED_PROMOTE_AFTER:
+                self._fixed_counts.pop(value, None)
+                table = self.fixed_base(base)
+            else:
+                if len(self._fixed_counts) > 8192:  # bound the counter map
+                    self._fixed_counts.clear()
+                self._fixed_counts[value] = seen
+        if table is not None:
+            return table.pow(exponent)
+        return self._pow_raw(base, exponent)
 
     def pow_cached(self, base, exponent: int):
         """``base^exponent`` that promotes recurring bases to tables.
@@ -253,20 +286,27 @@ class GroupBackend:
         first couple of appearances while one-shot bases never pay the
         table-build cost.
         """
-        value = base.value
-        table = self._table_hit(value)
-        if table is not None:
-            return self._wrap_raw(table.pow(exponent))
-        if base.is_identity():
-            return self.identity
-        seen = self._fixed_counts.get(value, 0) + 1
-        if seen > self.FIXED_PROMOTE_AFTER:
-            self._fixed_counts.pop(value, None)
-            return self._wrap_raw(self.fixed_base(base).pow(exponent))
-        if len(self._fixed_counts) > 8192:  # bound the counter map
-            self._fixed_counts.clear()
-        self._fixed_counts[value] = seen
-        return base ** exponent
+        return self._wrap_raw(self._pow_cached_raw(base, exponent))
+
+    # -- composed ElGamal steps ----------------------------------------
+    #
+    # ``AtomElGamal`` calls these for every Enc, Rerand and ReEnc.  The
+    # defaults are the element-wise formulas of Appendix A; a backend
+    # whose elements are costly to normalize (the curve) overrides them
+    # to compose each step in its raw representation.
+
+    def _rerandomize_parts(self, public_key, R, c, r: int):
+        """``(g^r * R, c * X^r)``."""
+        return self.g_pow(r) * R, c * self.pow_cached(public_key, r)
+
+    def _reencrypt_parts(self, secret: int, Y, R, c, next_public_key,
+                         r: Optional[int]):
+        """``(R, c / Y^secret)`` when ``next_public_key`` is ``None``
+        (final decryption), else ``(g^r * R, c / Y^secret * X'^r)``."""
+        c_tmp = c / (Y ** secret)
+        if next_public_key is None:
+            return R, c_tmp
+        return self.g_pow(r) * R, c_tmp * self.pow_cached(next_public_key, r)
 
     # -- randomness ---------------------------------------------------
 
@@ -376,6 +416,10 @@ class GroupBackend:
         element serialized as ``value``."""
         raise NotImplementedError
 
+    def _pow_raw(self, base, exponent: int):
+        """``base^exponent`` without a table, in the raw representation."""
+        raise NotImplementedError
+
     def _wrap_raw(self, raw):
         """Wrap a table/multiexp result in an element."""
         raise NotImplementedError
@@ -411,6 +455,9 @@ class Group(GroupBackend):
 
     def _build_table(self, value: int) -> FixedBaseExp:
         return FixedBaseExp(self.p, self.q, value)
+
+    def _pow_raw(self, base: GroupElement, exponent: int) -> int:
+        return pow(base.value, exponent % self.q, self.p)
 
     def _wrap_raw(self, raw: int) -> GroupElement:
         return GroupElement(raw, self)

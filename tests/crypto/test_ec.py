@@ -8,6 +8,9 @@ cannot hide behind itself.
 
 import pytest
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from repro.crypto.ec import (
     B,
     GX,
@@ -17,11 +20,16 @@ from repro.crypto.ec import (
     P,
     EcGroup,
     EcPoint,
+    JacobianComb,
     _batch_to_affine,
     _jdbl,
     _jmul,
+    _mul_var,
     _to_affine,
+    _wnaf,
 )
+from repro.crypto.elgamal import AtomCiphertext, AtomElGamal
+from repro.crypto.fastexp import FixedBaseComb
 from repro.crypto.groups import DeterministicRng, EncodingError, get_group
 
 GROUP = get_group("P256")
@@ -61,9 +69,10 @@ def _ref_add(p1, p2):
     return (x3, (lam * (x1 - x3) - y1) % P)
 
 
-def _ref_mult(k):
-    """Double-and-add reference scalar multiplication of the generator."""
-    acc, addend = None, (GX, GY)
+def _ref_mult(k, base=(GX, GY)):
+    """Double-and-add reference scalar multiplication (of the generator
+    unless ``base`` is given)."""
+    acc, addend = None, base
     while k:
         if k & 1:
             acc = _ref_add(acc, addend)
@@ -201,3 +210,152 @@ class TestRegistry:
     def test_prime_order_is_structural(self):
         assert GROUP.is_prime_order(GROUP.g)
         assert GROUP.is_prime_order(GROUP.identity)
+
+
+# A point of order 3 on y^2 = x^3 - 3x - 2, a curve the P-256 formulas
+# also compute on (they never use b): a stand-in for a point built from
+# raw coordinates off the curve, whose small order drives the hot loops
+# through their identity and equal/opposite-point branches.
+TORSION3 = (3, 4)
+
+#: scalars at the edges of the wNAF recoding and of the reduction mod N
+EDGE_SCALARS = [0, 1, 2, 15, 16, 31, N - 1, N, N + 1, 2 ** 255]
+
+
+def _random_scalars(count, seed):
+    rng = DeterministicRng(seed)
+    return [rng.randint(1, N - 1) for _ in range(count)]
+
+
+#: enough scalars to reach every identity / equal-point branch
+SMALL_ORDER_SCALARS = list(range(1, 200)) + _random_scalars(4, b"torsion")
+
+
+class TestWnafMultiply:
+    """``_mul_var`` (width-5 wNAF) against the affine reference."""
+
+    @pytest.mark.parametrize("k", EDGE_SCALARS + _random_scalars(4, b"wnaf-g"))
+    def test_generator_matches_reference(self, k):
+        assert _to_affine(_mul_var(GROUP.g._jac(), k)) == _ref_mult(k % N)
+
+    @pytest.mark.parametrize("k", EDGE_SCALARS + _random_scalars(4, b"wnaf-b"))
+    def test_random_base_matches_reference(self, k):
+        base = GROUP.random_element(DeterministicRng(b"wnaf-base"))
+        expected = _ref_mult(k % N, (base.x, base.y))
+        assert _to_affine(_mul_var(base._jac(), k)) == expected
+        assert (base ** k) == GROUP._wrap_raw(_mul_var(base._jac(), k))
+
+    @pytest.mark.parametrize("k", EDGE_SCALARS)
+    def test_identity_base(self, k):
+        assert _to_affine(_mul_var(JAC_OPS.one, k)) is None
+        assert (GROUP.identity ** k).is_identity()
+
+    def test_small_order_base_stays_exact(self):
+        for k in SMALL_ORDER_SCALARS:
+            assert _to_affine(_mul_var(TORSION3 + (1,), k)) == _ref_mult(
+                k, TORSION3
+            )
+
+    @pytest.mark.parametrize("k", EDGE_SCALARS[1:] + _random_scalars(8, b"naf"))
+    def test_recoding(self, k):
+        e = k % N
+        if not e:
+            return
+        digits = _wnaf(e)
+        assert sum(d << i for i, d in enumerate(reversed(digits))) == e
+        assert digits[0] > 0
+        nonzero = [i for i, d in enumerate(digits) if d]
+        assert all(digits[i] % 2 and abs(digits[i]) < 16 for i in nonzero)
+        assert all(b - a >= 5 for a, b in zip(nonzero, nonzero[1:]))
+
+
+class TestJacobianComb:
+    """The signed-digit comb against the generic ``FixedBaseComb``."""
+
+    @pytest.mark.parametrize(
+        "k", EDGE_SCALARS + [-1] + _random_scalars(6, b"comb")
+    )
+    def test_matches_generic_comb(self, k):
+        base = GROUP.random_element(DeterministicRng(b"comb-base"))._jac()
+        generic = FixedBaseComb(JAC_OPS, N, base)
+        assert _to_affine(JacobianComb(base).pow(k)) == _to_affine(generic.pow(k))
+
+    def test_generator_table_is_the_specialization(self):
+        assert isinstance(GROUP.fixed_base(GROUP.g), JacobianComb)
+        for k in _random_scalars(4, b"comb-g"):
+            assert (GROUP.g_pow(k).x, GROUP.g_pow(k).y) == _ref_mult(k)
+
+    @pytest.mark.parametrize("k", [0, 1, 5, N - 1])
+    def test_identity_base(self, k):
+        assert _to_affine(JacobianComb(JAC_OPS.one).pow(k)) is None
+
+    def test_small_order_base_stays_exact(self):
+        comb = JacobianComb(TORSION3 + (1,))
+        for k in SMALL_ORDER_SCALARS:
+            assert _to_affine(comb.pow(k)) == _ref_mult(k, TORSION3)
+
+
+settings_composed = settings(
+    max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@pytest.mark.parametrize("name", ["P256", "MODP2048"])
+class TestComposedElGamal:
+    """``rerandomize``/``reencrypt`` go through the backend's composed
+    hooks; their ciphertexts must be byte-identical to Appendix A's
+    element-wise formulas."""
+
+    @given(seed=st.binary(min_size=1, max_size=8))
+    @settings_composed
+    def test_rerandomize(self, name, seed):
+        group = get_group(name)
+        scheme = AtomElGamal(group)
+        rng = DeterministicRng(seed)
+        key = scheme.keygen(rng)
+        ct, _ = scheme.encrypt(key.public, group.encode(seed), rng)
+        r = group.random_scalar(rng)
+        expected = AtomCiphertext(
+            R=(group.g ** r) * ct.R, c=ct.c * (key.public ** r), Y=None
+        )
+        got = scheme.rerandomize(key.public, ct, randomness=r)
+        assert got.to_bytes() == expected.to_bytes()
+
+    @given(seed=st.binary(min_size=1, max_size=8), final=st.booleans(),
+           y_bot=st.booleans())
+    @settings_composed
+    def test_reencrypt(self, name, seed, final, y_bot):
+        group = get_group(name)
+        scheme = AtomElGamal(group)
+        rng = DeterministicRng(seed)
+        key, next_key = scheme.keygen(rng), scheme.keygen(rng)
+        ct, _ = scheme.encrypt(key.public, group.encode(seed), rng)
+        if not y_bot:
+            ct = AtomCiphertext(R=group.random_element(rng), c=ct.c, Y=ct.R)
+        R, c, Y = ct.R, ct.c, ct.Y
+        if Y is None:
+            Y, R = R, group.identity
+        c_tmp = c / (Y ** key.secret)
+        r = group.random_scalar(rng)
+        if final:
+            expected = AtomCiphertext(R=R, c=c_tmp, Y=Y)
+            got = scheme.reencrypt(key.secret, None, ct)
+        else:
+            expected = AtomCiphertext(
+                R=(group.g ** r) * R, c=c_tmp * (next_key.public ** r), Y=Y
+            )
+            got = scheme.reencrypt(key.secret, next_key.public, ct, randomness=r)
+        assert got.to_bytes() == expected.to_bytes()
+
+    @given(seed=st.binary(min_size=1, max_size=8))
+    @settings_composed
+    def test_encrypt(self, name, seed):
+        group = get_group(name)
+        scheme = AtomElGamal(group)
+        rng = DeterministicRng(seed)
+        key = scheme.keygen(rng)
+        message = group.encode(seed)
+        r = group.random_scalar(rng)
+        ct, _ = scheme.encrypt(key.public, message, randomness=r)
+        assert ct.R == group.g ** r
+        assert ct.c == message * (key.public ** r)
