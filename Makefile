@@ -7,7 +7,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test-fast test bench-smoke parity stream-smoke net-smoke net-strict persist-smoke chaos-smoke fleet-smoke scenario-smoke store-smoke clean
+.PHONY: test-fast test bench-smoke parity stream-smoke net-smoke net-strict persist-smoke chaos-smoke fleet-smoke scenario-smoke store-smoke loc clean
 
 ## Fast suite: everything but the slow-marked benchmarks/sweeps (~35 s).
 test-fast:
@@ -20,8 +20,9 @@ test:
 
 ## Benchmark smoke: regenerates BENCH_*.json at the repo root (the
 ## fast-exponentiation engine, the MODP2048-vs-P256 backend dimension,
-## and the bounded-memory data plane's RSS/throughput record); CI
-## uploads the JSON as artifacts.
+## and the batch data plane's RSS/throughput record, held under the
+## deleted object plane's recorded footprint); CI uploads the JSON as
+## artifacts.
 bench-smoke:
 	$(PYTEST) -q -s benchmarks/test_fastexp_speedup.py \
 		benchmarks/test_streaming_rss.py
@@ -82,6 +83,11 @@ store-smoke:
 ## a leaked never-awaited coroutine in transport shutdown fails here.
 net-strict:
 	$(PYTEST) -q -W error::RuntimeWarning tests/net tests/fleet
+
+## Python line count of src/ (tracked: it should fall while the
+## seeded parity, conservation and crash suites stay green).
+loc:
+	@find src -name '*.py' -print0 | xargs -0 cat | wc -l
 
 clean:
 	rm -rf src/repro_atom.egg-info build .pytest_cache

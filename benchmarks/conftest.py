@@ -21,3 +21,35 @@ def print_table(title: str, headers, rows) -> None:
     print("-" * len(line))
     for row in rows:
         print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
+
+
+def paired_median_ratio(run_a, run_b, pairs: int):
+    """Time ``run_a`` against ``run_b`` as ``pairs`` back-to-back pairs,
+    alternating which side goes first, so load drift on a shared
+    machine hits both sides of a pair alike.
+
+    Returns ``(median a seconds, median b seconds, median of the
+    per-pair a/b ratios, IQR of those ratios)``.
+    """
+    import gc
+    import statistics
+    import time
+
+    a_samples, b_samples, ratios = [], [], []
+    for i in range(pairs):
+        sample = {}
+        for side in ((run_a, run_b) if i % 2 == 0 else (run_b, run_a)):
+            gc.collect()  # no sample pays for the other side's garbage
+            start = time.perf_counter()
+            side()
+            sample[side] = time.perf_counter() - start
+        a_samples.append(sample[run_a])
+        b_samples.append(sample[run_b])
+        ratios.append(sample[run_a] / sample[run_b])
+    q1, _, q3 = statistics.quantiles(ratios, n=4)
+    return (
+        statistics.median(a_samples),
+        statistics.median(b_samples),
+        statistics.median(ratios),
+        q3 - q1,
+    )

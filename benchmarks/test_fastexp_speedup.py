@@ -16,16 +16,14 @@ root so later scaling PRs can track the trajectory:
    re-encrypt — at least 4x faster than MODP2048 (in practice ~10-25x).
 """
 
-import gc
 import json
 import secrets
-import statistics
 import time
 from pathlib import Path
 
 import pytest
 
-from conftest import print_table
+from conftest import paired_median_ratio, print_table
 from repro.crypto.elgamal import AtomCiphertext, AtomElGamal, ElGamalKeyPair
 from repro.crypto.fastexp import FixedBaseExp
 from repro.crypto.groups import DeterministicRng, GroupElement, get_group
@@ -278,11 +276,6 @@ ENVELOPE_MESSAGES = 16
 ENVELOPE_PAIRS = 25
 
 
-def _iqr(values) -> float:
-    q1, _, q3 = statistics.quantiles(values, n=4)
-    return q3 - q1
-
-
 @pytest.mark.slow
 def test_envelope_overhead(benchmark):
     """The message-driven node API must be (nearly) free in-process.
@@ -309,6 +302,7 @@ def test_envelope_overhead(benchmark):
     median of 25 pairs exceeds 1.10 in ~0.2% of runs (15 pairs: ~1%).
     """
     from repro.core import AtomDeployment, Client, DeploymentConfig
+    from repro.core.batch import CiphertextBatch
     from repro.crypto.vector import CiphertextVector
     from repro.net import envelopes as ev
     from repro.net.envelopes import Envelope, wrap
@@ -323,7 +317,8 @@ def test_envelope_overhead(benchmark):
         ct, _ = scheme.encrypt(keys.public, group.encode(b"b%02d" % i), rng)
         vectors.append(CiphertextVector((ct,)))
     batch_env = wrap(
-        ev.MixBatch(layer=1, vectors=tuple(vectors)), 0, 0, 1
+        ev.MixBatch(layer=1, batch=CiphertextBatch.from_vectors(group, vectors)),
+        0, 0, 1,
     )
     serialize_s = _time_primitive(lambda: batch_env.to_bytes(group), 20)
     raw = batch_env.to_bytes(group)
@@ -333,15 +328,9 @@ def test_envelope_overhead(benchmark):
 
     # -- 2. inproc coordinator round vs the pre-refactor direct drive --
     def build_config():
-        # Pinned to the object plane: the direct-drive baseline below
-        # is an object-graph loop, so both sides must move objects for
-        # the ratio to isolate the envelope/coordinator overhead.  The
-        # batch plane's cost profile is tracked separately by
-        # test_streaming_rss ("streaming_rss" in BENCH_fastexp.json).
         return DeploymentConfig(
             num_servers=6, num_groups=2, group_size=2, variant="basic",
             iterations=3, message_size=8, crypto_group="P256",
-            data_plane="object",
         )
 
     def run_envelope_round() -> None:
@@ -355,14 +344,17 @@ def test_envelope_overhead(benchmark):
 
     def run_direct_round() -> None:
         """The seed-era drive: verify at entry, call ctx.mix directly
-        per layer, read the plaintexts — no envelopes, no coordinator."""
-        from repro.core import messages as fmt
+        per layer on the same batches the nodes hold, read the
+        plaintexts — no envelopes, no coordinator."""
+        from repro.core.messages import PayloadSpec
         from repro.crypto.vector import plaintext_of
 
         with AtomDeployment(build_config()) as dep:
             rnd = dep.start_round(0, rng=DeterministicRng(b"env-round"))
             client = Client(dep.group, DeterministicRng(b"env-client"))
-            holdings = {ctx.gid: [] for ctx in rnd.contexts}
+            holdings = {
+                ctx.gid: CiphertextBatch(dep.group) for ctx in rnd.contexts
+            }
             for i in range(ENVELOPE_MESSAGES):
                 gid = i % 2
                 sub = client.prepare_plain(
@@ -375,7 +367,9 @@ def test_envelope_overhead(benchmark):
             topo = rnd.topology
             for layer in range(topo.depth):
                 last = layer == topo.depth - 1
-                incoming = {ctx.gid: [] for ctx in rnd.contexts}
+                incoming = {
+                    ctx.gid: CiphertextBatch(dep.group) for ctx in rnd.contexts
+                }
                 for ctx in rnd.contexts:
                     if last:
                         successors, next_keys = [ctx.gid], [None]
@@ -385,8 +379,8 @@ def test_envelope_overhead(benchmark):
                             rnd.context(s).public_key for s in successors
                         ]
                     batches, _ = ctx.mix(
-                        holdings[ctx.gid], next_keys, verify=False,
-                        rng=DeterministicRng(mix_rng.randbytes(32)),
+                        holdings[ctx.gid], next_keys,
+                        DeterministicRng(mix_rng.randbytes(32)),
                     )
                     for succ, batch in zip(successors, batches):
                         incoming[succ].extend(batch)
@@ -395,28 +389,16 @@ def test_envelope_overhead(benchmark):
             for gid in sorted(holdings):
                 for vec in holdings[gid]:
                     payload = plaintext_of(rnd.context(gid).scheme, vec)
-                    if not fmt.is_dummy_payload(payload):
-                        messages.append(fmt.parse_plain_payload(payload))
+                    if not PayloadSpec.is_dummy(payload):
+                        messages.append(PayloadSpec.parse_plain(payload))
             assert len(messages) == ENVELOPE_MESSAGES
 
     # Warm both paths (fixed-base tables, pyc) before timing.
     run_envelope_round()
     run_direct_round()
-    envelope_samples, direct_samples, ratios = [], [], []
-    for i in range(ENVELOPE_PAIRS):
-        order = [run_envelope_round, run_direct_round]
-        if i % 2:
-            order.reverse()
-        sample = {}
-        for fn in order:
-            gc.collect()  # no sample pays for the other side's garbage
-            sample[fn] = _time_primitive(fn, 1)
-        envelope_samples.append(sample[run_envelope_round])
-        direct_samples.append(sample[run_direct_round])
-        ratios.append(sample[run_envelope_round] / sample[run_direct_round])
-    envelope_s = statistics.median(envelope_samples)
-    direct_s = statistics.median(direct_samples)
-    ratio = statistics.median(ratios)
+    envelope_s, direct_s, ratio, ratio_iqr = paired_median_ratio(
+        run_envelope_round, run_direct_round, ENVELOPE_PAIRS
+    )
 
     benchmark.pedantic(lambda: batch_env.to_bytes(group), rounds=3, iterations=1)
 
@@ -447,7 +429,7 @@ def test_envelope_overhead(benchmark):
                 "round_messages": ENVELOPE_MESSAGES,
                 "pairs": ENVELOPE_PAIRS,
                 "inproc_overhead_ratio": round(ratio, 4),
-                "inproc_overhead_ratio_iqr": round(_iqr(ratios), 4),
+                "inproc_overhead_ratio_iqr": round(ratio_iqr, 4),
             }
         }
     )

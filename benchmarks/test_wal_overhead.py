@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import print_table
+from conftest import paired_median_ratio, print_table
 from repro.core import AtomDeployment, Client, DeploymentConfig
 from repro.crypto.groups import DeterministicRng
 from repro.store.segments import LogDir
@@ -23,6 +23,9 @@ from repro.store.wal import WriteAheadLog
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_fastexp.json"
 OVERHEAD_LIMIT = 1.25
+#: interleaved (durable, no-op) pairs of ~1.5 s rounds; see
+#: test_envelope_overhead for why the median of pairs, not min-of-blocks
+PAIRS = 15
 
 
 def _update_bench(fields: dict) -> None:
@@ -60,29 +63,21 @@ def _run_round(state_dir=None) -> None:
         assert result.ok and len(result.messages) == 8
 
 
-def _best_of(fn, repeat: int) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 @pytest.mark.slow
 def test_wal_overhead(benchmark, tmp_path_factory):
-    # Warm both paths (fixed-base tables, imports) before timing;
-    # best-of-5 min-vs-min cancels scheduler noise on 1-CPU runners
-    # (same protocol as the envelope_overhead benchmark).
+    # Warm both paths (fixed-base tables, imports) before timing, then
+    # take the median ratio of interleaved, order-alternating pairs
+    # (same protocol as the rpc_overhead and envelope_overhead
+    # benchmarks).
     _run_round()
     _run_round(tmp_path_factory.mktemp("warm"))
 
     def store_round():
         _run_round(tmp_path_factory.mktemp("wal"))
 
-    null_s = _best_of(_run_round, 5)
-    store_s = _best_of(store_round, 5)
-    ratio = store_s / null_s
+    store_s, null_s, ratio, ratio_iqr = paired_median_ratio(
+        store_round, _run_round, PAIRS
+    )
 
     # Absolute log footprint + raw append cost of one durable round
     # (segmented layout: size and count come from the manifest scan).
@@ -109,7 +104,8 @@ def test_wal_overhead(benchmark, tmp_path_factory):
         [
             ("no-op store round (s)", f"{null_s:.3f}"),
             ("durable store round (s)", f"{store_s:.3f}"),
-            ("store / no-op", f"{ratio:.3f}x"),
+            ("store / no-op (median of pairs)", f"{ratio:.3f}x"),
+            ("ratio IQR", f"{ratio_iqr:.3f}"),
             ("wal bytes per round", f"{wal_bytes:,}"),
             ("wal records per round", f"{records}"),
             ("append 512B record (ms)", f"{append_ms:.4f}"),
@@ -123,7 +119,9 @@ def test_wal_overhead(benchmark, tmp_path_factory):
                 "variant": "trap",
                 "null_round_s": round(null_s, 4),
                 "store_round_s": round(store_s, 4),
+                "pairs": PAIRS,
                 "overhead_ratio": round(ratio, 4),
+                "overhead_ratio_iqr": round(ratio_iqr, 4),
                 "wal_bytes_per_round": wal_bytes,
                 "wal_records_per_round": records,
                 "append_512B_ms": round(append_ms, 4),

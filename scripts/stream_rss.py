@@ -1,15 +1,15 @@
 """Measure peak RSS and throughput of one seeded round at scale.
 
 Runs a complete seeded round (intake -> padding -> mixing -> exit)
-through the configured data plane and prints one JSON object on
-stdout, so the streaming-RSS benchmark (benchmarks/test_streaming_rss.py)
+over CiphertextBatch buffers (spilling intake to disk when asked) and
+prints one JSON object on stdout, so the streaming-RSS benchmark (benchmarks/test_streaming_rss.py)
 can run it as a subprocess and read the round's own peak RSS — peak
 RSS of a shared pytest process would be polluted by every test that
 ran before it.
 
 Usage:
     PYTHONPATH=src python scripts/stream_rss.py \
-        --messages 2000 --group TOY --data-plane batch --spill-threshold 256
+        --messages 2000 --group TOY --spill-threshold 256
 """
 
 import argparse
@@ -33,7 +33,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--messages", type=int, default=2000)
     ap.add_argument("--group", type=str.upper, default="TOY")
-    ap.add_argument("--data-plane", default="batch")
     ap.add_argument("--spill-threshold", type=int, default=0)
     ap.add_argument("--iterations", type=int, default=2)
     ap.add_argument("--num-groups", type=int, default=2)
@@ -51,7 +50,6 @@ def main() -> int:
         iterations=args.iterations,
         message_size=args.message_size,
         crypto_group=args.group,
-        data_plane=args.data_plane,
         spill_threshold=args.spill_threshold,
     )
 
@@ -78,7 +76,6 @@ def main() -> int:
         "messages": args.messages,
         "dummies": dummies,
         "crypto_group": args.group,
-        "data_plane": args.data_plane,
         "spill_threshold": args.spill_threshold,
         "iterations": args.iterations,
         "ok": result.ok,

@@ -49,9 +49,9 @@ class VuvuzelaChain:
         return onion
 
     def _parse(self, raw: bytes):
-        from repro.core.messages import deserialize_cca2
+        from repro.core.messages import PayloadSpec
 
-        return deserialize_cca2(self.group, raw)
+        return PayloadSpec.cca2_from_bytes(self.group, raw)
 
     def run_round(self, onions: Sequence[bytes]) -> List[bytes]:
         """Each server peels a layer, injects noise, and shuffles."""

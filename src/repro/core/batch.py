@@ -12,9 +12,8 @@ layer's ``_write_vector`` format (PR 4's wire substrate)::
 where elements are the fixed-width big-endian integers that
 ``element.to_bytes()`` / ``GroupBackend.element`` round-trip.  Because
 the layout is byte-identical to the wire codec, a batch can be spliced
-straight into a MIX_BATCH envelope body (and parsed straight out of
-one) with **zero re-encoding**, and a batch snapshot written to the
-checkpoint WAL is byte-identical to the object-path snapshot.
+straight into a MIX_BATCH envelope body or a checkpoint record (and
+parsed straight out of either) with **zero re-encoding**.
 
 Operations the hot path needs are O(1) or O(bytes), never
 O(python objects):
@@ -23,15 +22,19 @@ O(python objects):
   parent buffer, offsets rebased), used for Algorithm 1's "Divide".
 - :meth:`extend_raw` / :meth:`concat` — buffer splices, used when a
   node adopts the sender-sorted batches of a committed layer.
-- :meth:`vector` / iteration — decode one record at a time, so legacy
-  call sites (exit, dummy padding, blame) stream through a batch
-  without ever materializing the whole object graph.
+- :meth:`vector` / iteration — decode one record at a time, so call
+  sites that read vectors (exit, dummy padding, blame) stream through
+  a batch without ever materializing the whole object graph.
 - :meth:`take` — the mixing chain's read: a batch built with
   ``remember=True`` keeps the vectors it encoded and hands each one
   over once, so the next participant skips decoding (on P-256, a
   square root per point).  Views, copies and parsed batches never
   remember: points that cross a batch boundary are decoded and
   validated.
+- :meth:`put` — overwrite one record (the tamper hooks' edit).
+
+A batch pickles as an owned copy of its records (views included), so
+it crosses a process-pool boundary like any other value.
 
 Encoding is group-independent (``element.to_bytes()`` carries its own
 width); only decoding needs the bound ``group`` to validate membership
@@ -151,9 +154,12 @@ class CiphertextBatch:
 
     @classmethod
     def from_vectors(
-        cls, group: Group, vectors: Iterable[CiphertextVector]
+        cls,
+        group: Group,
+        vectors: Iterable[CiphertextVector],
+        remember: bool = False,
     ) -> "CiphertextBatch":
-        batch = cls(group)
+        batch = cls(group, remember=remember)
         for vec in vectors:
             batch.append(vec)
         return batch
@@ -244,8 +250,27 @@ class CiphertextBatch:
         self._starts.extend(base + s for s in other._starts)
         buf += other._buf
 
+    def put(self, i: int, vec: CiphertextVector) -> None:
+        """Overwrite record ``i`` with ``vec``; later records shift
+        when its length differs."""
+        record = bytearray()
+        encode_vector_record(record, vec)
+        buf = self._materialize()
+        start, end = self._starts[i], self._end(i)
+        buf[start:end] = record
+        shift = len(record) - (end - start)
+        for k in range(i + 1, len(self._starts)):
+            self._starts[k] += shift
+        if self._memo is not None:
+            self._memo[i] = vec
+
     def copy(self) -> "CiphertextBatch":
         return CiphertextBatch(self.group, bytearray(self._buf), list(self._starts))
+
+    def __reduce__(self):
+        # memoryview views do not pickle: ship an owned copy (the memo
+        # stays behind — the receiver decodes and validates)
+        return (CiphertextBatch, (self.group, bytes(self._buf), list(self._starts)))
 
     # -- access ----------------------------------------------------------
 
@@ -347,8 +372,8 @@ class CiphertextBatch:
 
     def size_bytes_total(self) -> int:
         """Sum of ``vec.size_bytes`` over the batch, without decoding
-        (the audit's bytes-sent accounting must match the object path:
-        a part is 2 elements plus either Y or the 1-byte ⊥ marker)."""
+        (the audit's bytes-sent accounting): a part is 2 elements plus
+        either Y or the 1-byte ⊥ marker."""
         buf = self._buf
         eb = self.group.element_bytes
         total = 0

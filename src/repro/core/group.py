@@ -11,22 +11,23 @@ protocol round.  It owns the group's per-round mixing key:
   ``t = k - (h - 1)``; any ``t`` live members can mix, because each
   uses its Lagrange-weighted share as its effective secret.
 
-``mix`` implements one mixing iteration (Algorithm 1):
-shuffle (every participant in order) → divide into ``beta`` batches →
-decrypt-and-reencrypt each batch toward its successor group (every
-participant in order), the last participant dropping ``Y`` before the
-batches leave the group.
+``mix`` implements one mixing iteration (Algorithm 1) over a
+:class:`~repro.core.batch.CiphertextBatch`: shuffle (every participant
+in order) → divide into ``beta`` batches → decrypt-and-reencrypt each
+batch toward its successor group (every participant in order), the
+last participant dropping ``Y`` before the batches leave the group.
 
-``mix`` with ``verify=True`` implements Algorithm 2: every shuffle
-carries a vector ShufProof and every ReEnc step a per-part ReEncProof;
-all are checked by the other group members, and any failure raises
-:class:`ProtocolAbort` naming the culprit.
+``mix`` with ``nizk=True`` (the NIZK variant) implements Algorithm 2:
+every shuffle carries a vector ShufProof and every ReEnc step a
+per-part ReEncProof; all are checked by the other group members, and
+any failure raises :class:`ProtocolAbort` naming the culprit.
 
 Active-adversary hooks: participants with a non-honest
-:class:`~repro.core.server.Behavior` tamper with the outgoing batches
-(replace / duplicate / drop a ciphertext).  Under Algorithm 2 this is
-caught immediately; under the trap variant it is caught by the trap
-checks with probability 1/2 per tampering (§4.4).
+:class:`~repro.core.server.Behavior` edit batch records — swap two
+after their shuffle, or replace / duplicate / drop one outgoing
+ciphertext.  Under Algorithm 2 this is caught immediately; under the
+trap variant it is caught by the trap checks with probability 1/2 per
+tampering (§4.4).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+from repro.core.batch import CiphertextBatch
 from repro.core.server import AtomServer, Behavior
 from repro.crypto.elgamal import AtomElGamal, ElGamalKeyPair
 from repro.crypto.groups import DeterministicRng, Group, GroupElement
@@ -44,12 +46,11 @@ from repro.crypto.vector import (
     CiphertextVector,
     VectorShuffleProof,
     prove_vector_shuffle,
+    random_permutation,
     reencrypt_vector,
     rerandomize_vector,
-    shuffle_vectors,
     verify_vector_shuffle,
 )
-from repro.topology.base import route_batches
 
 
 class ProtocolAbort(RuntimeError):
@@ -186,155 +187,53 @@ class GroupContext:
 
     def mix(
         self,
-        vectors: Sequence[CiphertextVector],
+        batch: CiphertextBatch,
         next_keys: Sequence[Optional[GroupElement]],
-        verify: bool = False,
         rng: Optional[DeterministicRng] = None,
-    ) -> Tuple[List[List[CiphertextVector]], MixAudit]:
-        """One iteration of Algorithm 1 (``verify=False``) / 2 (``True``).
+        nizk: bool = False,
+    ) -> Tuple[List[CiphertextBatch], MixAudit]:
+        """One iteration of Algorithm 1, or of Algorithm 2 with ``nizk``
+        (the NIZK variant), over a :class:`CiphertextBatch`.
 
         ``next_keys[i]`` is the public key of the i-th successor group
         (``None`` for the final iteration: plain decryption).  Returns
-        ``beta = len(next_keys)`` outgoing batches plus an audit record.
-        """
-        audit = MixAudit(gid=self.gid)
-        participants = self.participants()
-        beta = len(next_keys)
-        if not beta:
-            raise ValueError("need at least one successor key")
-        if len(vectors) % beta:
-            raise ValueError(
-                f"group {self.gid}: {len(vectors)} ciphertexts do not divide "
-                f"into {beta} batches"
-            )
+        ``beta = len(next_keys)`` outgoing batches (views over one
+        buffer) plus an audit record.
 
-        current = list(vectors)
-
-        # Step 1 — Shuffle, each participant in order (Algorithm 1/2, step 1).
-        for position in participants:
-            server = self.servers[position]
-            shuffled, perm, rands = shuffle_vectors(
-                self.scheme, self.public_key, current, rng
-            )
-            if verify:
-                proof = prove_vector_shuffle(
-                    self.scheme, self.public_key, current, shuffled, perm, rands,
-                    rounds=self.nizk_rounds, rng=rng,
-                )
-                audit.shuffles_proved += 1
-                audit.bytes_sent += proof.size_bytes
-            tampered = self._maybe_tamper_shuffle(server, shuffled, audit)
-            if verify:
-                # Every other member verifies the (possibly tampered) output.
-                ok = verify_vector_shuffle(
-                    self.scheme, self.public_key, current, tampered, proof,
-                    rounds=self.nizk_rounds,
-                )
-                audit.shuffles_verified += len(participants) - 1
-                if not ok:
-                    raise ProtocolAbort(self.gid, server.server_id, "shuffle")
-                audit.final_shuffle_proof = proof
-            current = tampered
-
-        # Step 2 — Divide (Algorithm 1/2, step 2).
-        batches = route_batches(current, beta)
-
-        # Step 3 — Decrypt and Reencrypt, each participant in order.
-        for index, position in enumerate(participants):
-            server = self.servers[position]
-            secret = self.effective_secret(position, participants)
-            last = index == len(participants) - 1
-            new_batches = []
-            for batch, next_key in zip(batches, next_keys):
-                out = [
-                    reencrypt_vector(self.scheme, secret, next_key, vec, rng)
-                    for vec in batch
-                ]
-                new_batches.append(out)
-            batches = new_batches
-            if last and next_keys[0] is not None:
-                # Appendix A: the last server sets Y' = ⊥ before forwarding.
-                batches = [[vec.with_y_bot() for vec in batch] for batch in batches]
-
-        # Adversarial tampering on the *outgoing* batches (the attack the
-        # trap variant is designed to catch).
-        self._maybe_tamper_outgoing(batches, next_keys, audit)
-
-        for batch in batches:
-            audit.bytes_sent += sum(v.size_bytes for v in batch)
-        return batches, audit
-
-    def streaming_safe(self) -> bool:
-        """Whether this group may mix on the streaming (batch-buffer)
-        data plane: every member must be honest — the adversarial
-        tampering hooks operate on vector object lists (and must keep
-        doing so: the trap variant's catch probabilities are asserted
-        against that path), so instrumented groups mix via :meth:`mix`.
-        """
-        return all(s.streaming_safe for s in self.servers)
-
-    def mix_batch(
-        self,
-        batch,
-        next_keys: Sequence[Optional[GroupElement]],
-        rng: Optional[DeterministicRng] = None,
-    ):
-        """One honest iteration of Algorithm 1 over a contiguous
-        :class:`~repro.core.batch.CiphertextBatch` buffer.
-
-        Byte-identical to ``mix(list(batch), next_keys, verify=False,
-        rng)`` for an honest group: every rng draw happens in exactly
-        the same order —
+        Rng draw order, which seeded rounds depend on:
 
         1. per participant: the shuffle permutation, then one scalar
-           per ciphertext part in permuted-vector order (what
-           ``shuffle_vectors`` draws);
-        2. per participant: re-encryption randomness in batch-major
-           vector order — and because "Divide" is a *contiguous* split
-           (``route_batches``), batch-major order over the split equals
-           index order over the whole buffer, so ReEnc streams without
-           materializing per-successor lists.
+           per ciphertext part in permuted-vector order, then (NIZK)
+           the shuffle proof's draws;
+        2. per participant: re-encryption randomness in index order —
+           "Divide" is a *contiguous* split, so vector ``i`` goes to
+           successor ``i // per`` and ReEnc streams over the whole
+           buffer without per-successor lists.
 
         Each participant's output is a fresh buffer that also remembers
         the vectors it encoded, handed over once to the next participant
         (:meth:`CiphertextBatch.take`): a point is decoded once per
         layer, where it enters the group.  Peak memory is two serialized
-        buffers plus one group batch of vectors (the input's memo drains
-        as the output's fills), never an object graph of the whole
-        round.  Gated by :meth:`streaming_safe` — callers route
-        instrumented groups and the NIZK variant through the object
-        path.
+        buffers plus one group batch of vectors.
         """
-        from repro.core.batch import CiphertextBatch
-
         audit = MixAudit(gid=self.gid)
         participants = self.participants()
+        verifiers = len(participants) - 1
         beta = len(next_keys)
         if not beta:
             raise ValueError("need at least one successor key")
-        current = (
-            batch
-            if isinstance(batch, CiphertextBatch)
-            else CiphertextBatch.from_vectors(self.group, batch)
-        )
-        n = len(current)
+        n = len(batch)
         if n % beta:
             raise ValueError(
                 f"group {self.gid}: {n} ciphertexts do not divide "
                 f"into {beta} batches"
             )
+        current = batch
 
         # Step 1 — Shuffle, each participant in order.
-        for _position in participants:
-            perm = list(range(n))
-            if rng is not None:
-                rng.shuffle(perm)
-            else:
-                import secrets as _secrets
-
-                for i in range(n - 1, 0, -1):
-                    j = _secrets.randbelow(i + 1)
-                    perm[i], perm[j] = perm[j], perm[i]
+        for position in participants:
+            server = self.servers[position]
+            perm = random_permutation(n, rng)
             rands = [
                 [
                     self.group.random_scalar(rng)
@@ -342,165 +241,135 @@ class GroupContext:
                 ]
                 for i in range(n)
             ]
-            out = CiphertextBatch(self.group, remember=True)
-            for i in range(n):
-                out.append(
-                    rerandomize_vector(
-                        self.scheme,
-                        self.public_key,
-                        current.take(perm[i]),
-                        rands[i],
-                    )
+            if nizk:
+                inputs = [current.take(i) for i in range(n)]
+                take = inputs.__getitem__
+            else:
+                take = current.take
+            shuffled = (
+                rerandomize_vector(
+                    self.scheme, self.public_key, take(perm[i]), rands[i]
                 )
+                for i in range(n)
+            )
+            if nizk:
+                shuffled = list(shuffled)  # the prover's witness
+            out = CiphertextBatch.from_vectors(self.group, shuffled, remember=True)
+            if nizk:
+                proof = prove_vector_shuffle(
+                    self.scheme, self.public_key, inputs, shuffled, perm, rands,
+                    rounds=self.nizk_rounds, rng=rng,
+                )
+                audit.shuffles_proved += 1
+                audit.bytes_sent += proof.size_bytes
+            self._maybe_tamper_shuffle(server, out, audit)
+            if nizk:
+                # Every other member verifies the records it was sent.
+                ok = verify_vector_shuffle(
+                    self.scheme, self.public_key, inputs, list(out), proof,
+                    rounds=self.nizk_rounds,
+                )
+                audit.shuffles_verified += verifiers
+                if not ok:
+                    raise ProtocolAbort(self.gid, server.server_id, "shuffle")
+                audit.final_shuffle_proof = proof
             current = out
 
-        # Steps 2+3 — Divide + Decrypt-and-Reencrypt, streamed in index
-        # order (vector i belongs to successor batch i // per).
+        # Steps 2+3 — Divide + Decrypt-and-Reencrypt, each participant in
+        # order, streamed in index order.
         per = n // beta
         for index, position in enumerate(participants):
+            server = self.servers[position]
             secret = self.effective_secret(position, participants)
-            last = index == len(participants) - 1
+            server_public = self.group.g ** secret if nizk else None
             # Appendix A: the last server sets Y' = ⊥ before forwarding
             # (fused per vector — with_y_bot draws no randomness)
-            strip_y = last and next_keys[0] is not None
+            strip_y = index == len(participants) - 1 and next_keys[0] is not None
             out = CiphertextBatch(self.group, remember=True)
             for i in range(n):
-                vec = reencrypt_vector(
-                    self.scheme, secret, next_keys[i // per],
-                    current.take(i), rng,
-                )
-                if strip_y:
-                    vec = vec.with_y_bot()
-                out.append(vec)
+                next_key = next_keys[i // per]
+                if nizk:
+                    vec = self._proved_reencrypt(
+                        server, secret, server_public, next_key,
+                        current.take(i), rng, audit, verifiers,
+                    )
+                else:
+                    vec = reencrypt_vector(
+                        self.scheme, secret, next_key, current.take(i), rng
+                    )
+                out.append(vec.with_y_bot() if strip_y else vec)
             current = out
 
         parts = current.split(beta)
+        # Adversarial tampering on the *outgoing* batches (the attack the
+        # trap variant is designed to catch).
+        self._maybe_tamper_outgoing(parts, next_keys, audit)
+        if nizk and audit.tamperings:
+            # A tampering server cannot prove the substituted ReEnc, and
+            # the neighbours re-verify the hand-off (Algorithm 2, 3b).
+            culprit = audit.tamperings[0][0]
+            raise ProtocolAbort(self.gid, culprit, "outgoing-batch verification")
         for part in parts:
             audit.bytes_sent += part.size_bytes_total()
         return parts, audit
 
-    def mix_with_reenc_proofs(
+    # perfbench/tracing.py wraps these two former names next to ``mix``
+    # (a missing one stops the benchmark); drop them when it is revised.
+    mix_batch = mix_with_reenc_proofs = mix
+
+    def _proved_reencrypt(
         self,
-        vectors: Sequence[CiphertextVector],
-        next_keys: Sequence[Optional[GroupElement]],
-        rng: Optional[DeterministicRng] = None,
-    ) -> Tuple[List[List[CiphertextVector]], MixAudit]:
-        """Algorithm 2 with explicit per-step ReEnc proofs.
-
-        A slower, fully verified path used by the NIZK variant: each
-        participant's ReEnc of each ciphertext part is proved with a
-        Chaum-Pedersen NIZK and verified by the other members.  Shuffle
-        proofs are as in :meth:`mix`.
-        """
-        audit = MixAudit(gid=self.gid)
-        participants = self.participants()
-        beta = len(next_keys)
-        if len(vectors) % beta:
-            raise ValueError("ciphertexts do not divide into batches")
-
-        current = list(vectors)
-
-        # Step 1 — verified shuffles.
-        for position in participants:
-            server = self.servers[position]
-            shuffled, perm, rands = shuffle_vectors(
-                self.scheme, self.public_key, current, rng
-            )
-            proof = prove_vector_shuffle(
-                self.scheme, self.public_key, current, shuffled, perm, rands,
-                rounds=self.nizk_rounds, rng=rng,
-            )
-            audit.shuffles_proved += 1
+        server: AtomServer,
+        secret: int,
+        server_public: GroupElement,
+        next_key: Optional[GroupElement],
+        vec: CiphertextVector,
+        rng: Optional[DeterministicRng],
+        audit: MixAudit,
+        verifiers: int,
+    ) -> CiphertextVector:
+        """Algorithm 2, step 3: ReEnc each part with a Chaum-Pedersen
+        proof that the other members verify.  Draws the same randomness
+        as :func:`reencrypt_vector`."""
+        parts = []
+        for part in vec.parts:
+            r = None if next_key is None else self.group.random_scalar(rng)
+            after = self.scheme.reencrypt(secret, next_key, part, randomness=r)
+            proof = prove_reencryption(self.group, secret, r, next_key, part, after)
+            audit.reencs_proved += 1
             audit.bytes_sent += proof.size_bytes
-            tampered = self._maybe_tamper_shuffle(server, shuffled, audit)
-            ok = verify_vector_shuffle(
-                self.scheme, self.public_key, current, tampered, proof,
-                rounds=self.nizk_rounds,
-            )
-            audit.shuffles_verified += len(participants) - 1
-            if not ok:
-                raise ProtocolAbort(self.gid, server.server_id, "shuffle")
-            audit.final_shuffle_proof = proof
-            current = tampered
-
-        # Step 2 — divide.
-        batches = route_batches(current, beta)
-
-        # Step 3 — proved ReEnc.
-        for index, position in enumerate(participants):
-            server = self.servers[position]
-            secret = self.effective_secret(position, participants)
-            server_public = self.group.g ** secret
-            last = index == len(participants) - 1
-            new_batches = []
-            for batch, next_key in zip(batches, next_keys):
-                out_batch = []
-                for vec in batch:
-                    out_parts = []
-                    for part in vec.parts:
-                        r = (
-                            None
-                            if next_key is None
-                            else self.group.random_scalar(rng)
-                        )
-                        after = self.scheme.reencrypt(secret, next_key, part, randomness=r)
-                        proof = prove_reencryption(
-                            self.group, secret, r, next_key, part, after
-                        )
-                        audit.reencs_proved += 1
-                        audit.bytes_sent += proof.size_bytes
-                        if not verify_reencryption(
-                            self.group, server_public, next_key, part, after, proof
-                        ):
-                            raise ProtocolAbort(self.gid, server.server_id, "reenc")
-                        audit.reencs_verified += len(participants) - 1
-                        out_parts.append(after)
-                    out_batch.append(CiphertextVector(tuple(out_parts)))
-                new_batches.append(out_batch)
-            batches = new_batches
-            if last and next_keys[0] is not None:
-                batches = [[vec.with_y_bot() for vec in batch] for batch in batches]
-
-        # A tampering server cannot forge the ReEnc proof, so under this
-        # path tampering surfaces as an abort above; outgoing tampering
-        # would be caught by the neighbours re-verifying (Algorithm 2
-        # step 3b sends proofs to neighbouring groups too).
-        tampered_audit = MixAudit(gid=self.gid)
-        self._maybe_tamper_outgoing(batches, next_keys, tampered_audit)
-        if tampered_audit.tamperings:
-            culprit = tampered_audit.tamperings[0][0]
-            raise ProtocolAbort(self.gid, culprit, "outgoing-batch verification")
-
-        for batch in batches:
-            audit.bytes_sent += sum(v.size_bytes for v in batch)
-        return batches, audit
+            if not verify_reencryption(
+                self.group, server_public, next_key, part, after, proof
+            ):
+                raise ProtocolAbort(self.gid, server.server_id, "reenc")
+            audit.reencs_verified += verifiers
+            parts.append(after)
+        return CiphertextVector(tuple(parts))
 
     # -- adversarial hooks -------------------------------------------------
 
     def _maybe_tamper_shuffle(
-        self,
-        server: AtomServer,
-        shuffled: List[CiphertextVector],
-        audit: MixAudit,
-    ) -> List[CiphertextVector]:
-        """BAD_SHUFFLE: emit something other than the proven shuffle."""
+        self, server: AtomServer, shuffled: CiphertextBatch, audit: MixAudit
+    ) -> None:
+        """BAD_SHUFFLE: emit something other than the proven shuffle
+        (records 0 and 1 swapped)."""
         if server.behavior is not Behavior.BAD_SHUFFLE or server.tamper_budget <= 0:
-            return shuffled
+            return
         if len(shuffled) < 2:
-            return shuffled
+            return
         server.tamper_budget -= 1
         audit.tamperings.append((server.server_id, "bad_shuffle"))
-        tampered = list(shuffled)
-        tampered[0], tampered[1] = tampered[1], tampered[0]
-        return tampered
+        first, second = shuffled.take(0), shuffled.take(1)
+        shuffled.put(0, second)
+        shuffled.put(1, first)
 
     def _maybe_tamper_outgoing(
         self,
-        batches: List[List[CiphertextVector]],
+        parts: List[CiphertextBatch],
         next_keys: Sequence[Optional[GroupElement]],
         audit: MixAudit,
     ) -> None:
-        """DROP / REPLACE / DUPLICATE one outgoing ciphertext in place.
+        """DROP / REPLACE / DUPLICATE record 0 of one outgoing batch.
 
         Modeled at the last-server forwarding stage, where a malicious
         member can construct well-formed substitutes: after ``Y`` is
@@ -513,30 +382,31 @@ class GroupContext:
                 continue
             if server.behavior is Behavior.BAD_SHUFFLE:
                 continue
-            for b_idx, (batch, next_key) in enumerate(zip(batches, next_keys)):
-                if not batch:
+            for part, next_key in zip(parts, next_keys):
+                if not part:
                     continue
                 server.tamper_budget -= 1
                 if server.behavior is Behavior.REPLACE_ONE:
-                    batch[0] = self._forge_vector(batch[0], next_key)
+                    part.put(0, self._forge_vector(part.parts_count(0), next_key))
                     audit.tamperings.append((server.server_id, "replace"))
-                elif server.behavior is Behavior.DUPLICATE_ONE and len(batch) >= 2:
-                    batch[0] = batch[1]
+                elif server.behavior is Behavior.DUPLICATE_ONE and len(part) >= 2:
+                    part.put(0, part.vector(1))
                     audit.tamperings.append((server.server_id, "duplicate"))
                 elif server.behavior is Behavior.DROP_ONE:
                     # Dropping shrinks the batch; to keep wire-format
                     # plausible the adversary substitutes garbage instead
                     # of leaving a hole (a literal hole is caught by
                     # counting; see §4.4 security analysis).
-                    batch[0] = self._forge_vector(batch[0], next_key)
+                    part.put(0, self._forge_vector(part.parts_count(0), next_key))
                     audit.tamperings.append((server.server_id, "drop"))
                 break
             break
 
     def _forge_vector(
-        self, template: CiphertextVector, next_key: Optional[GroupElement]
+        self, num_parts: int, next_key: Optional[GroupElement]
     ) -> CiphertextVector:
-        """A fresh, well-formed vector substituted by the adversary.
+        """A fresh, well-formed ``num_parts``-part vector substituted by
+        the adversary.
 
         The strongest attacker (paper §4.4 analysis) replaces a victim
         ciphertext with a *valid* message of his own — e.g. a fresh
@@ -554,9 +424,9 @@ class GroupContext:
         else:
             chunks = [
                 self.group.encode(_secrets.token_bytes(self.group.params.message_bytes))
-                for _ in template.parts
+                for _ in range(num_parts)
             ]
-        if len(chunks) != len(template.parts):
+        if len(chunks) != num_parts:
             raise ValueError("forged payload does not match vector arity")
         if next_key is None:
             # Final layer: exit reads the plaintext out of `c`.
@@ -611,16 +481,13 @@ def _parallel_mix_worker(payload):
     """Run one group's mixing iteration inside a worker process.
 
     ``payload`` is fully picklable: the context (honest groups only —
-    see :meth:`GroupContext.parallel_safe`), its input vectors, the
-    successor keys, which algorithm to run, and an optional seed for a
-    worker-local :class:`DeterministicRng`.
+    see :meth:`GroupContext.parallel_safe`), its input batch, the
+    successor keys, whether to run the NIZK variant, and an optional
+    seed for a worker-local :class:`DeterministicRng`.  The outgoing
+    batches are views over one buffer; they pickle back as owned
+    copies.
     """
-    ctx, vectors, next_keys, use_reenc_proofs, seed = payload
+    ctx, batch, next_keys, nizk, seed = payload
     rng = DeterministicRng(seed) if seed is not None else None
-    if use_reenc_proofs:
-        batches, audit = ctx.mix_with_reenc_proofs(vectors, next_keys, rng)
-    else:
-        batches, audit = ctx.mix(vectors, next_keys, verify=False, rng=rng)
-    return ctx.gid, batches, audit
-
-
+    parts, audit = ctx.mix(batch, next_keys, rng, nizk=nizk)
+    return ctx.gid, parts, audit

@@ -14,9 +14,6 @@ the application message size, and :class:`PayloadSpec` — the object
 every deployment already carries — is the codec: builders are methods
 that close over the spec's sizing, parsers and predicates are static
 (they read sizes out of the payload itself).
-
-The original free functions remain as thin deprecated aliases; new
-code should call the :class:`PayloadSpec` methods.
 """
 
 from __future__ import annotations
@@ -204,85 +201,3 @@ class PayloadSpec:
         except MessageFormatError:
             return False
         return body.startswith(TAG_MESSAGE)
-
-
-# -- deprecated free-function aliases ----------------------------------------
-#
-# The pre-PayloadSpec codec surface.  Each is a thin delegation kept so
-# external callers and old notebooks keep working; new code should use
-# the PayloadSpec methods above.  Builders that used to take an
-# explicit size construct a throwaway spec — payload sizing has no
-# other state.
-
-
-_spec = PayloadSpec.sized
-
-
-def pad_payload(payload: bytes, size: int) -> bytes:
-    """Deprecated alias for :meth:`PayloadSpec.pad`."""
-    return _spec(size).pad(payload)
-
-
-def unpad_payload(padded: bytes) -> bytes:
-    """Deprecated alias for :meth:`PayloadSpec.unpad`."""
-    return PayloadSpec.unpad(padded)
-
-
-def build_plain_payload(message: bytes, payload_size: int) -> bytes:
-    """Deprecated alias for :meth:`PayloadSpec.build_plain`."""
-    return _spec(payload_size).build_plain(message)
-
-
-def parse_plain_payload(payload: bytes) -> bytes:
-    """Deprecated alias for :meth:`PayloadSpec.parse_plain`."""
-    return PayloadSpec.parse_plain(payload)
-
-
-def build_dummy_payload(nonce: bytes, payload_size: int) -> bytes:
-    """Deprecated alias for :meth:`PayloadSpec.build_dummy`."""
-    return _spec(payload_size).build_dummy(nonce)
-
-
-def is_dummy_payload(payload: bytes) -> bool:
-    """Deprecated alias for :meth:`PayloadSpec.is_dummy`."""
-    return PayloadSpec.is_dummy(payload)
-
-
-def build_trap_payload(gid: int, nonce: bytes, payload_size: int) -> bytes:
-    """Deprecated alias for :meth:`PayloadSpec.build_trap`."""
-    return _spec(payload_size).build_trap(gid, nonce)
-
-
-def parse_trap_payload(payload: bytes) -> Tuple[int, bytes]:
-    """Deprecated alias for :meth:`PayloadSpec.parse_trap`."""
-    return PayloadSpec.parse_trap(payload)
-
-
-def is_trap_payload(payload: bytes) -> bool:
-    """Deprecated alias for :meth:`PayloadSpec.is_trap`."""
-    return PayloadSpec.is_trap(payload)
-
-
-def serialize_cca2(group: Group, ciphertext: Cca2Ciphertext) -> bytes:
-    """Deprecated alias for :meth:`PayloadSpec.cca2_to_bytes`."""
-    return ciphertext.to_bytes()
-
-
-def deserialize_cca2(group: Group, raw: bytes) -> Cca2Ciphertext:
-    """Deprecated alias for :meth:`PayloadSpec.cca2_from_bytes`."""
-    return PayloadSpec.cca2_from_bytes(group, raw)
-
-
-def build_inner_payload(group: Group, ciphertext: Cca2Ciphertext, payload_size: int) -> bytes:
-    """Deprecated alias for :meth:`PayloadSpec.build_inner`."""
-    return _spec(payload_size).build_inner(group, ciphertext)
-
-
-def parse_inner_payload(group: Group, payload: bytes) -> Cca2Ciphertext:
-    """Deprecated alias for :meth:`PayloadSpec.parse_inner`."""
-    return PayloadSpec.parse_inner(group, payload)
-
-
-def is_inner_payload(payload: bytes) -> bool:
-    """Deprecated alias for :meth:`PayloadSpec.is_inner`."""
-    return PayloadSpec.is_inner(payload)

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import messages as fmt
+from repro.core.batch import CiphertextBatch
 from repro.core.blame import BlameReport, identify_malicious_users
 from repro.core.client import Client, Submission, TrapSubmission
 from repro.core.directory import Directory, DirectoryConfig, make_fleet
@@ -45,7 +46,6 @@ from repro.core.server import AtomServer
 from repro.core.trustees import TrusteeGroup
 from repro.crypto.beacon import RandomnessBeacon
 from repro.crypto.groups import DeterministicRng, GroupBackend as Group, get_group
-from repro.crypto.vector import CiphertextVector
 from repro.topology import IteratedButterflyNetwork, PermutationNetwork, SquareNetwork
 
 VARIANTS = ("basic", "nizk", "trap")
@@ -86,13 +86,8 @@ class DeploymentConfig:
     #: path to a repro.fleet.plan.DeploymentPlan JSON; required (and
     #: only meaningful) when transport == "fleet"
     fleet_plan: Optional[str] = None
-    #: how ciphertexts live between protocol steps: "batch" (contiguous
-    #: CiphertextBatch buffers — the bounded-memory data plane) or
-    #: "object" (legacy per-vector object lists; escape hatch and
-    #: byte-equivalence baseline)
-    data_plane: str = "batch"
     #: spill intake holdings to scratch disk segments every N vectors
-    #: (0: never spill; requires the batch data plane)
+    #: (0: never spill)
     spill_threshold: int = 0
     #: directory for the durable state store (None: in-memory only —
     #: the no-op store, so nothing below pays for durability)
@@ -150,15 +145,8 @@ class DeploymentConfig:
             raise ValueError(
                 "transport='fleet' needs fleet_plan (a DeploymentPlan path)"
             )
-        if self.data_plane not in ("batch", "object"):
-            raise ValueError("data_plane must be 'batch' or 'object'")
         if self.spill_threshold < 0:
             raise ValueError("spill_threshold must be >= 0")
-        if self.spill_threshold > 0 and self.data_plane == "object":
-            raise ValueError(
-                "spill_threshold requires the batch data plane "
-                "(object holdings cannot spill)"
-            )
         if self.rpc_attempts < 1:
             raise ValueError("rpc_attempts must be >= 1")
         if self.rpc_timeout is not None and self.rpc_timeout <= 0:
@@ -248,10 +236,9 @@ class Round:
         self.forger: Optional[InnerPayloadForger] = None
         #: per-gid intake mirror of the node-side holdings (the nodes
         #: hold the authoritative copies behind the transport; this
-        #: client-side view feeds dummy-padding targets and tests)
-        self.holdings: Dict[int, List[CiphertextVector]] = {
-            ctx.gid: [] for ctx in contexts
-        }
+        #: client-side view feeds dummy-padding targets and tests);
+        #: AtomDeployment.start_round fills it with batch containers
+        self.holdings: Dict[int, CiphertextBatch] = {}
         #: per-gid trap commitments registered at submission time (the
         #: same client-side mirror; nodes check traps against theirs)
         self.commitments: Dict[int, List[bytes]] = {ctx.gid: [] for ctx in contexts}
@@ -349,11 +336,8 @@ class AtomDeployment:
         return self._spill_dir
 
     def make_holdings(self, tag: str):
-        """A fresh holdings container for the configured data plane:
-        a plain list (object plane), a :class:`CiphertextBatch`, or a
+        """A fresh holdings container: a :class:`CiphertextBatch`, or a
         :class:`SpillableHoldings` when spilling is on."""
-        if self.config.data_plane != "batch":
-            return []
         if self.config.spill_threshold > 0:
             from repro.store.spill import SpillableHoldings
 
@@ -361,8 +345,6 @@ class AtomDeployment:
                 self.group, self.config.spill_threshold, self.spill_dir(),
                 tag=tag,
             )
-        from repro.core.batch import CiphertextBatch
-
         return CiphertextBatch(self.group)
 
     def _mixing_pool(self):
@@ -515,16 +497,15 @@ class AtomDeployment:
             else None
         )
         rnd = Round(round_id, contexts, topology, trustees, self.spec.payload_size)
-        if cfg.data_plane == "batch":
-            # The client-side intake mirror tracks the nodes' containers:
-            # serialized batch buffers (spillable when configured), so a
-            # million-message intake never pins an object graph here
-            # either.  Tags differ from the node containers' so their
-            # scratch files never collide.
-            rnd.holdings = {
-                ctx.gid: self.make_holdings(f"mirror-r{round_id}-g{ctx.gid}")
-                for ctx in contexts
-            }
+        # The client-side intake mirror tracks the nodes' containers:
+        # serialized batch buffers (spillable when configured), so a
+        # million-message intake never pins an object graph here either.
+        # Tags differ from the node containers' so their scratch files
+        # never collide.
+        rnd.holdings = {
+            ctx.gid: self.make_holdings(f"mirror-r{round_id}-g{ctx.gid}")
+            for ctx in contexts
+        }
         if trustees is not None:
             # Arm the strongest modeled attacker: substituted ciphertexts
             # are *valid* inner ciphertexts to the trustees (so only the
@@ -595,22 +576,15 @@ class AtomDeployment:
             self.spec.payload_size,
             self.config.message_size,
         )
-        if not trap_sub.verify(self.group, ctx.public_key):
-            raise ValueError("submission proofs failed verification")
-        user_id = self._accept(
-            rnd, entry_gid, list(trap_sub.pair), trap_sub.trap_commitment
-        )
-        rnd.trap_submissions[user_id] = (entry_gid, trap_sub)
-        return user_id
+        return self.inject_trap_submission(rnd, entry_gid, trap_sub)
 
     def inject_trap_submission(
         self, rnd: Round, entry_gid: int, trap_sub: TrapSubmission
     ) -> int:
         """Submit a pre-built (possibly malicious) trap submission —
-        used by tests exercising §4.6 blame."""
-        ctx = rnd.context(entry_gid)
-        if not trap_sub.verify(self.group, ctx.public_key):
-            raise ValueError("submission proofs failed verification")
+        used by tests exercising §4.6 blame.  The entry node verifies
+        the EncProofs; a failed proof raises ``ValueError`` and leaves
+        no state behind."""
         user_id = self._accept(
             rnd, entry_gid, list(trap_sub.pair), trap_sub.trap_commitment
         )

@@ -111,14 +111,8 @@ def rerandomize_vector(
     )
 
 
-def shuffle_vectors(
-    scheme: AtomElGamal,
-    public_key: GroupElement,
-    vectors: Sequence[CiphertextVector],
-    rng: Optional[DeterministicRng] = None,
-) -> Tuple[List[CiphertextVector], List[int], List[List[int]]]:
-    """Shuffle vectors as units: ``out[i] = Rerand(in[perm[i]], rands[i])``."""
-    n = len(vectors)
+def random_permutation(n: int, rng: Optional[DeterministicRng] = None) -> List[int]:
+    """A uniform permutation of ``range(n)`` (the shuffle's first draw)."""
     perm = list(range(n))
     if rng is not None:
         rng.shuffle(perm)
@@ -128,6 +122,18 @@ def shuffle_vectors(
         for i in range(n - 1, 0, -1):
             j = _secrets.randbelow(i + 1)
             perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def shuffle_vectors(
+    scheme: AtomElGamal,
+    public_key: GroupElement,
+    vectors: Sequence[CiphertextVector],
+    rng: Optional[DeterministicRng] = None,
+) -> Tuple[List[CiphertextVector], List[int], List[List[int]]]:
+    """Shuffle vectors as units: ``out[i] = Rerand(in[perm[i]], rands[i])``."""
+    n = len(vectors)
+    perm = random_permutation(n, rng)
     rands = [
         [scheme.group.random_scalar(rng) for _ in vectors[perm[i]].parts]
         for i in range(n)

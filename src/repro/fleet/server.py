@@ -175,7 +175,6 @@ class FleetServer:
                 self.config.variant,
                 pool=self.pool,
                 store=self.store,
-                data_plane=self.config.data_plane,
                 spill_threshold=self.config.spill_threshold,
                 spill_dir=self._spill_dir(),
             )

@@ -76,7 +76,6 @@ class ServerNode:
         variant: str,
         pool=None,
         store=None,
-        data_plane: str = "object",
         spill_threshold: int = 0,
         spill_dir=None,
     ):
@@ -90,11 +89,8 @@ class ServerNode:
         #: node-side, so the write-ahead log holds exactly the wire
         #: bytes this node admitted — on either transport
         self.store = store if store is not None else NullStore()
-        #: hot data plane: "batch" keeps holdings as contiguous
-        #: CiphertextBatch buffers (optionally spilling intake to disk
-        #: past spill_threshold vectors); "object" keeps the legacy
-        #: vector-object lists
-        self.data_plane = data_plane
+        #: holdings are contiguous CiphertextBatch buffers, spilling
+        #: intake to disk past spill_threshold vectors (0: never)
         self.spill_threshold = spill_threshold
         self.spill_dir = spill_dir
         #: vectors awaiting the next mixing layer
@@ -120,12 +116,9 @@ class ServerNode:
     # -- holdings containers --------------------------------------------
 
     def _make_holdings(self):
-        """A fresh, empty holdings container for this node's data
-        plane.  Recovery may later assign a plain list regardless of
-        plane (checkpoint snapshots decode to vectors); every consumer
-        below stays polymorphic over list / batch / spillable."""
-        if self.data_plane != "batch":
-            return []
+        """A fresh, empty holdings container: a batch, or a spillable
+        one when spilling is on (recovery may assign a snapshot batch
+        instead)."""
         if self.spill_threshold > 0 and self.spill_dir is not None:
             from repro.store.spill import SpillableHoldings
 
@@ -138,21 +131,12 @@ class ServerNode:
         return CiphertextBatch(self.ctx.group)
 
     def _holdings_batch(self) -> CiphertextBatch:
-        """Current holdings as one contiguous batch (splices for batch
-        containers; encodes when recovery assigned a plain list)."""
+        """Current holdings as one contiguous batch (spilled segments
+        are spliced back in)."""
         holdings = self.holdings
         if isinstance(holdings, CiphertextBatch):
             return holdings
-        as_batch = getattr(holdings, "as_batch", None)
-        if as_batch is not None:
-            return as_batch()
-        return CiphertextBatch.from_vectors(self.ctx.group, holdings)
-
-    def _holdings_list(self) -> List:
-        """Current holdings as a vector list (the legacy mix paths and
-        the pickled pool task want object graphs)."""
-        holdings = self.holdings
-        return holdings if isinstance(holdings, list) else list(holdings)
+        return holdings.as_batch()
 
     # -- dispatch ------------------------------------------------------
 
@@ -248,7 +232,9 @@ class ServerNode:
 
     def _on_mix(self, env: Envelope) -> List[Envelope]:
         payload: ev.Mix = env.payload
-        rng = DeterministicRng(payload.seed) if payload.seed is not None else None
+        holdings = self._holdings_batch()
+        next_keys = list(payload.next_keys)
+        nizk = self.variant == "nizk"
         if (
             payload.use_pool
             and self.pool is not None
@@ -257,33 +243,13 @@ class ServerNode:
             # Fan the CPU-bound mix out to the shared worker pool; the
             # coordinator collects the result after dispatching every
             # group of the layer (Fig. 7 horizontal scaling).
-            task = (
-                self.ctx,
-                list(self.holdings),
-                list(payload.next_keys),
-                self.variant == "nizk",
-                payload.seed,
-            )
+            task = (self.ctx, holdings, next_keys, nizk, payload.seed)
             future = self.pool.submit(_parallel_mix_worker, task)
             self._inflight = (payload.layer, future, payload.successors)
             return [self._reply(ev.MixPending(layer=payload.layer))]
+        rng = DeterministicRng(payload.seed) if payload.seed is not None else None
         try:
-            if self.variant == "nizk":
-                batches, audit = self.ctx.mix_with_reenc_proofs(
-                    self._holdings_list(), list(payload.next_keys), rng
-                )
-            elif self.data_plane == "batch" and self.ctx.streaming_safe():
-                # Streaming path: mix over the contiguous buffer —
-                # byte-identical to mix() (see GroupContext.mix_batch),
-                # never materializing the round as an object graph.
-                batches, audit = self.ctx.mix_batch(
-                    self._holdings_batch(), list(payload.next_keys), rng=rng
-                )
-            else:
-                batches, audit = self.ctx.mix(
-                    self._holdings_list(), list(payload.next_keys),
-                    verify=False, rng=rng,
-                )
+            batches, audit = self.ctx.mix(holdings, next_keys, rng, nizk=nizk)
         except (ProtocolAbort, GroupStalled) as exc:
             return [self._reply(_fault_from(exc))]
         return self._mix_replies(payload.layer, payload.successors, batches, audit)
@@ -304,11 +270,10 @@ class ServerNode:
         return self._mix_replies(layer, successors, batches, audit)
 
     def _mix_replies(self, layer, successors, batches, audit) -> List[Envelope]:
-        # MixBatch.of keeps whichever container the mix produced:
-        # streaming CiphertextBatch buffers are spliced onto the wire
-        # (or handed through zero-copy in-process) without re-encoding.
+        # Batch buffers are spliced onto the wire (or handed through
+        # zero-copy in-process) without re-encoding.
         replies = [
-            self._reply(ev.MixBatch.of(layer, batch), dest=succ)
+            self._reply(ev.MixBatch(layer, batch), dest=succ)
             for succ, batch in zip(successors, batches)
         ]
         replies.append(self._reply(ev.MixSummary(layer=layer, audit=audit)))
@@ -322,15 +287,11 @@ class ServerNode:
         # Adopt sorted by sender: batch arrival order carries no
         # meaning (the mix permutes anyway), and sorting makes chaos
         # reordering invisible to the committed state.
+        # Adopt by buffer splice: wire-decoded batches are never
+        # turned into object graphs here.
         holdings = self._make_holdings()
-        if isinstance(holdings, list):
-            for _, payload in sorted(self._pending, key=lambda p: p[0]):
-                holdings.extend(payload.vectors)
-        else:
-            # batch plane: adopt by buffer splice — wire-decoded
-            # batches are never turned into object graphs here
-            for _, payload in sorted(self._pending, key=lambda p: p[0]):
-                holdings.extend(payload.as_batch(self.ctx.group))
+        for _, payload in sorted(self._pending, key=lambda p: p[0]):
+            holdings.extend(payload.batch)
         replaced = self.holdings
         self.holdings = holdings
         self._pending = []

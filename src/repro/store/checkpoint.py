@@ -22,17 +22,17 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.batch import BatchFormatError, CiphertextBatch
 from repro.core.group import MixAudit
 from repro.crypto.groups import GroupBackend as Group
 # The envelope layer's binary substrate (shared on purpose: one codec
 # path for wire and disk; see module docstring).
-from repro.net.envelopes import (  # noqa: F401
+from repro.net.envelopes import (
+    WireFormatError,
     _Reader as Reader,
     _Writer as Writer,
     _read_audit,
-    _read_vectors,
     _write_audit,
-    _write_vectors,
 )
 
 
@@ -190,29 +190,21 @@ class Snapshot:
 
     round_id: int
     layer: int
-    holdings: Dict[int, Tuple]  # gid -> tuple of CiphertextVector
+    holdings: Dict[int, CiphertextBatch]
 
 
 def _write_holdings(w: "Writer", items) -> None:
-    """``_write_vectors``-layout encoding of one group's holdings,
-    polymorphic over the data-plane containers: a CiphertextBatch (or
-    anything exposing ``as_batch``) splices its already-serialized
-    records — byte-identical to encoding the decoded vectors — while a
-    plain list takes the object codec path."""
-    from repro.core.batch import CiphertextBatch
-
-    as_batch = getattr(items, "as_batch", None)
-    if as_batch is not None:
-        items = as_batch()
-    if isinstance(items, CiphertextBatch):
-        w.u32(len(items))
-        w.buf += items.raw_records()
-        return
-    _write_vectors(w, tuple(items))
+    """``_write_vectors``-layout encoding of one group's holdings: the
+    batch's already-serialized records are spliced in (a spillable
+    container splices its segments back first)."""
+    if not isinstance(items, CiphertextBatch):
+        items = items.as_batch()
+    w.u32(len(items))
+    w.buf += items.raw_records()
 
 
 def encode_checkpoint(
-    group: Group, round_id: int, layer: int, holdings: Dict[int, list]
+    group: Group, round_id: int, layer: int, holdings: Dict[int, CiphertextBatch]
 ) -> bytes:
     w = Writer(group)
     w.u32(round_id)
@@ -225,13 +217,18 @@ def encode_checkpoint(
 
 
 def decode_checkpoint(group: Group, payload: bytes) -> Snapshot:
+    """Holdings come back as batches over ``payload`` (a structural
+    scan; elements are validated when the restored node decodes them)."""
     r = Reader(payload, group)
     round_id = r.u32()
     layer = r.u32()
-    holdings: Dict[int, Tuple] = {}
+    holdings: Dict[int, CiphertextBatch] = {}
     for _ in range(r.u32()):
         gid = r.u32()
-        holdings[gid] = _read_vectors(r)
+        try:
+            holdings[gid], r.pos = CiphertextBatch.parse(group, r.raw, r.pos)
+        except BatchFormatError as exc:
+            raise WireFormatError(f"malformed checkpoint: {exc}") from exc
     return Snapshot(round_id=round_id, layer=layer, holdings=holdings)
 
 
@@ -245,7 +242,7 @@ _CONFIG_FIELDS = (
     "num_servers", "num_groups", "group_size", "variant", "mode", "h",
     "adversarial_fraction", "iterations", "message_size", "crypto_group",
     "topology", "nizk_rounds", "num_trustees", "parallelism", "transport",
-    "wal_fsync_every", "checkpoint_every", "data_plane", "spill_threshold",
+    "wal_fsync_every", "checkpoint_every", "spill_threshold",
     "wal_segment_bytes", "wal_segment_records", "wal_retain_segments",
 )
 
@@ -261,6 +258,14 @@ def decode_meta(payload: bytes):
 
     obj = json.loads(payload)
     seed = bytes.fromhex(obj.pop("seed"))
+    # Logs written while a second, object-list data plane existed name
+    # their plane; only the batch plane can resume them.
+    plane = obj.pop("data_plane", "batch")
+    if plane != "batch":
+        raise ValueError(
+            f"state dir was written with data_plane={plane!r}, which no "
+            f"longer exists; only 'batch' logs can be resumed"
+        )
     return DeploymentConfig(seed=seed, **obj)
 
 

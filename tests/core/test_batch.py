@@ -196,6 +196,26 @@ class TestStructure:
         assert bytes(batch.raw_records()) == before
         assert list(view) == vectors[1:3] + [vectors[0]]
 
+    def test_put_on_view_shifts_later_records(self):
+        """A longer record (Y present) rewrites a view copy-on-write and
+        moves every later record's offset."""
+        group, vectors, batch = self._batch(4)
+        before = bytes(batch.raw_records())
+        view = batch.slice(0, 3)
+        longer = CiphertextVector(
+            (AtomCiphertext(R=group.g_pow(7), c=group.g_pow(8), Y=group.g),)
+        )
+        view.put(1, longer)
+        assert list(view) == [vectors[0], longer, vectors[2]]
+        assert bytes(batch.raw_records()) == before
+
+    def test_pickles_views_as_owned_copies(self):
+        import pickle
+
+        _, vectors, batch = self._batch(4)
+        halves = pickle.loads(pickle.dumps(batch.split(2)))
+        assert [list(h) for h in halves] == [vectors[:2], vectors[2:]]
+
     def test_copy_is_independent(self):
         group, vectors, batch = self._batch(2)
         dup = batch.copy()

@@ -4,7 +4,7 @@
 import pytest
 
 from repro.core import AtomDeployment, Client, DeploymentConfig
-from repro.core import messages as fmt
+from repro.core.messages import PayloadSpec
 from repro.core.group import GroupContext
 from repro.core.server import AtomServer, Behavior
 from repro.crypto.commit import verify_commitment
@@ -50,7 +50,7 @@ class TestClientTrapPair:
 
         ctx, client = entry_setup
         trustees = TrusteeGroup(toy_group, num_trustees=3)
-        spec = fmt.PayloadSpec.for_deployment(toy_group, 16, trap_variant=True)
+        spec = PayloadSpec.for_deployment(toy_group, 16, trap_variant=True)
         return ctx, client, trustees, spec
 
     def test_pair_verifies(self, toy_group, trap_setup):
@@ -66,7 +66,7 @@ class TestClientTrapPair:
             b"msg", ctx.public_key, trustees.public_key, 0, spec.payload_size, 16
         )
         assert verify_commitment(sub.trap_commitment, trap_payload)
-        gid, nonce = fmt.parse_trap_payload(trap_payload)
+        gid, nonce = PayloadSpec.parse_trap(trap_payload)
         assert gid == 0 and len(nonce) == 16
 
     def test_pair_payloads_same_size(self, toy_group, trap_setup):

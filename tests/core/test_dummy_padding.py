@@ -4,7 +4,7 @@ and the butterfly topology)."""
 import pytest
 
 from repro.core import AtomDeployment, DeploymentConfig
-from repro.core import messages as fmt
+from repro.core.messages import PayloadSpec
 
 
 def config(**overrides):
@@ -23,18 +23,19 @@ def config(**overrides):
 
 class TestDummyPayloadFormat:
     def test_build_and_detect(self):
-        payload = fmt.build_dummy_payload(b"n" * 12, 64)
-        assert fmt.is_dummy_payload(payload)
-        assert not fmt.is_trap_payload(payload)
-        assert not fmt.is_inner_payload(payload)
+        payload = PayloadSpec.sized(64).build_dummy(b"n" * 12)
+        assert PayloadSpec.is_dummy(payload)
+        assert not PayloadSpec.is_trap(payload)
+        assert not PayloadSpec.is_inner(payload)
 
     def test_same_size_as_plain(self):
-        assert len(fmt.build_dummy_payload(b"n" * 12, 64)) == len(
-            fmt.build_plain_payload(b"msg", 64)
+        spec = PayloadSpec.sized(64)
+        assert len(spec.build_dummy(b"n" * 12)) == len(
+            spec.build_plain(b"msg")
         )
 
     def test_garbage_is_not_dummy(self):
-        assert not fmt.is_dummy_payload(b"\xff" * 10)
+        assert not PayloadSpec.is_dummy(b"\xff" * 10)
 
 
 class TestPadRoundBasic:

@@ -82,6 +82,7 @@ class TestRecovery:
             system.recover(group, [AtomServer(server_id=300, group=toy_group)])
 
     def test_restored_group_mixes(self, toy_group, pair):
+        from repro.core.batch import CiphertextBatch
         from repro.crypto.elgamal import AtomElGamal
         from repro.crypto.vector import encrypt_vector, plaintext_of
 
@@ -90,7 +91,10 @@ class TestRecovery:
         system.escrow(group, buddy)
         scheme = AtomElGamal(toy_group)
         payloads = [bytes([i]) * 4 for i in range(4)]
-        vectors = [encrypt_vector(scheme, group.public_key, p)[0] for p in payloads]
+        vectors = CiphertextBatch.from_vectors(
+            toy_group,
+            [encrypt_vector(scheme, group.public_key, p)[0] for p in payloads],
+        )
         for server in group.servers[:2]:
             server.fail()
         replacements = [AtomServer(server_id=200 + i, group=toy_group) for i in range(4)]

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.core.batch import CiphertextBatch
 from repro.core.group import GroupContext, GroupStalled, ProtocolAbort
 from repro.core.server import AtomServer, Behavior
 from repro.crypto.elgamal import AtomElGamal
-from repro.crypto.vector import CiphertextVector, encrypt_vector, plaintext_of
+from repro.crypto.groups import DeterministicRng
+from repro.crypto.vector import encrypt_vector, plaintext_of
 
 
 def make_group(toy_group, gid=0, size=3, mode="anytrust", h=1, nizk_rounds=4):
@@ -15,7 +17,9 @@ def make_group(toy_group, gid=0, size=3, mode="anytrust", h=1, nizk_rounds=4):
 
 def encrypt_to(toy_group, ctx, payloads):
     scheme = AtomElGamal(toy_group)
-    return [encrypt_vector(scheme, ctx.public_key, p)[0] for p in payloads]
+    return CiphertextBatch.from_vectors(
+        toy_group, [encrypt_vector(scheme, ctx.public_key, p)[0] for p in payloads]
+    )
 
 
 def decrypt_final(ctx, batches):
@@ -111,7 +115,7 @@ class TestAlgorithm1:
     def test_no_successors_rejected(self, toy_group):
         ctx = make_group(toy_group)
         with pytest.raises(ValueError):
-            ctx.mix([], next_keys=[])
+            ctx.mix(CiphertextBatch(toy_group), next_keys=[])
 
     def test_mixing_permutes(self, toy_group):
         """With high probability, the output order differs from input."""
@@ -144,7 +148,7 @@ class TestAlgorithm2:
         ctx = make_group(toy_group, size=2)
         payloads = [bytes([i]) * 4 for i in range(4)]
         vectors = encrypt_to(toy_group, ctx, payloads)
-        batches, audit = ctx.mix_with_reenc_proofs(vectors, next_keys=[None])
+        batches, audit = ctx.mix(vectors, next_keys=[None], nizk=True)
         assert sorted(decrypt_final(ctx, batches)) == sorted(payloads)
         assert audit.shuffles_proved == 2
         assert audit.reencs_proved > 0
@@ -155,7 +159,7 @@ class TestAlgorithm2:
         payloads = [bytes([i]) * 4 for i in range(4)]
         vectors = encrypt_to(toy_group, ctx, payloads)
         with pytest.raises(ProtocolAbort) as excinfo:
-            ctx.mix_with_reenc_proofs(vectors, next_keys=[None])
+            ctx.mix(vectors, next_keys=[None], nizk=True)
         assert excinfo.value.culprit == ctx.servers[0].server_id
         assert excinfo.value.stage == "shuffle"
 
@@ -164,26 +168,20 @@ class TestAlgorithm2:
         ctx.servers[1].behavior = Behavior.REPLACE_ONE
         payloads = [bytes([i]) * 4 for i in range(4)]
         vectors = encrypt_to(toy_group, ctx, payloads)
-        with pytest.raises(ProtocolAbort):
-            ctx.mix_with_reenc_proofs(vectors, next_keys=[None])
-
-    def test_shuffle_only_verification_mode(self, toy_group):
-        """mix(verify=True) checks shuffles but skips ReEnc proofs."""
-        ctx = make_group(toy_group, size=2)
-        payloads = [bytes([i]) * 4 for i in range(4)]
-        vectors = encrypt_to(toy_group, ctx, payloads)
-        batches, audit = ctx.mix(vectors, next_keys=[None], verify=True)
-        assert audit.shuffles_proved == 2
-        assert audit.reencs_proved == 0
-        assert sorted(decrypt_final(ctx, batches)) == sorted(payloads)
+        with pytest.raises(ProtocolAbort) as excinfo:
+            ctx.mix(vectors, next_keys=[None], nizk=True)
+        assert excinfo.value.stage == "outgoing-batch verification"
 
     def test_bad_shuffle_detected_in_verify_mode(self, toy_group):
+        """The last member's swapped records fail the others' check."""
         ctx = make_group(toy_group, size=2)
         ctx.servers[1].behavior = Behavior.BAD_SHUFFLE
         payloads = [bytes([i]) * 4 for i in range(4)]
         vectors = encrypt_to(toy_group, ctx, payloads)
-        with pytest.raises(ProtocolAbort):
-            ctx.mix(vectors, next_keys=[None], verify=True)
+        with pytest.raises(ProtocolAbort) as excinfo:
+            ctx.mix(vectors, next_keys=[None], nizk=True)
+        assert excinfo.value.culprit == ctx.servers[1].server_id
+        assert excinfo.value.stage == "shuffle"
 
 
 class TestTamperingHooks:
@@ -217,6 +215,54 @@ class TestTamperingHooks:
         out = decrypt_final(ctx, batches)
         assert audit.tamperings
         assert len(out) == len(set(out)) + 1  # one duplicate present
+
+
+def _records(batch):
+    return [bytes(batch.raw(i)) for i in range(len(batch))]
+
+
+def _mix_twice(toy_group, behavior):
+    """The same seeded final-layer mix, honest and then with the last
+    member tampering; returns both outputs' records and the second
+    audit.  Tampering draws nothing from the rng, so every record the
+    edit did not touch must come out byte-identical."""
+    ctx = make_group(toy_group, size=2)
+    vectors = encrypt_to(toy_group, ctx, [bytes([i]) * 4 for i in range(6)])
+    (honest,), _ = ctx.mix(vectors, [None], DeterministicRng(b"edits"))
+    culprit = ctx.servers[1]
+    culprit.behavior = behavior
+    (tampered,), audit = ctx.mix(vectors, [None], DeterministicRng(b"edits"))
+    assert audit.tamperings == [(culprit.server_id, audit.tamperings[0][1])]
+    return _records(honest), _records(tampered), audit.tamperings[0][1]
+
+
+class TestTamperRecordEdits:
+    """Each behaviour is one record edit on the batch path."""
+
+    def test_replace_rewrites_record_zero(self, toy_group):
+        honest, tampered, kind = _mix_twice(toy_group, Behavior.REPLACE_ONE)
+        assert kind == "replace"
+        assert tampered[0] != honest[0]
+        assert tampered[1:] == honest[1:]
+
+    def test_duplicate_copies_record_one_over_zero(self, toy_group):
+        honest, tampered, kind = _mix_twice(toy_group, Behavior.DUPLICATE_ONE)
+        assert kind == "duplicate"
+        assert tampered == [honest[1]] + honest[1:]
+
+    def test_drop_substitutes_record_zero(self, toy_group):
+        honest, tampered, kind = _mix_twice(toy_group, Behavior.DROP_ONE)
+        assert kind == "drop"
+        assert len(tampered) == len(honest)
+        assert tampered[0] != honest[0]
+        assert tampered[1:] == honest[1:]
+
+    def test_bad_shuffle_swaps_records_zero_and_one(self, toy_group):
+        # final-layer ReEnc draws no randomness, so the swap made after
+        # the last shuffle survives to the output unchanged
+        honest, tampered, kind = _mix_twice(toy_group, Behavior.BAD_SHUFFLE)
+        assert kind == "bad_shuffle"
+        assert tampered == [honest[1], honest[0]] + honest[2:]
 
 
 class TestRevealSecrets:

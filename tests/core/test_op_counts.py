@@ -17,11 +17,12 @@ from repro.crypto.groups import DeterministicRng, get_group
 
 #: EcGroup.element calls of the seeded round below, starting from an
 #: empty fixed-base cache: before the first layer mixes, inside
-#: ``mix_batch``, and elsewhere (commits between layers, trap checks
+#: ``GroupContext.mix``, and elsewhere (commits between layers, trap checks
 #: and the exit).  Mixing once decoded every point at
 #: every participant's shuffle and re-encryption, with the ``Y`` points
 #: added by the first re-encryption: 2688 calls in the mix phase.
-RECORDED_DECODES = {"intake": 133, "mix": 384, "other": 200}
+#: Intake verifies each EncProof once, at the entry node.
+RECORDED_DECODES = {"intake": 69, "mix": 384, "other": 200}
 
 
 def _points(batch) -> int:
@@ -44,18 +45,18 @@ def test_one_decode_per_received_point_per_layer(monkeypatch):
         decodes[phase[0]] += 1
         return element(group, value)
 
-    mix_batch = GroupContext.mix_batch
+    mix = GroupContext.mix
 
-    def counted_mix_batch(ctx, batch, next_keys, rng=None):
+    def counted_mix(ctx, batch, next_keys, rng=None, nizk=False):
         received.append(_points(batch))
         phase[0] = "mix"
         try:
-            return mix_batch(ctx, batch, next_keys, rng)
+            return mix(ctx, batch, next_keys, rng, nizk)
         finally:
             phase[0] = "other"
 
     monkeypatch.setattr(EcGroup, "element", counted_element)
-    monkeypatch.setattr(GroupContext, "mix_batch", counted_mix_batch)
+    monkeypatch.setattr(GroupContext, "mix", counted_mix)
     # building a table decodes its base: start from a cold cache so the
     # count does not depend on which tests ran before
     group = get_group("P256")

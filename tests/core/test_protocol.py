@@ -110,6 +110,52 @@ class TestSubmissionValidation:
         with pytest.raises(ValueError):
             dep._accept(rnd, 0, [sub], None)
 
+    def test_forged_trap_proof_rejected_without_state_change(self):
+        """The entry node is the one place EncProofs are verified: a
+        pair with a forged proof comes back as ValueError, and neither
+        the node (holdings, commitments, dedup set) nor the
+        deployment-side mirrors keep a trace of it."""
+        import dataclasses
+
+        from repro.core.client import Submission
+        from repro.crypto.nizk import EncProof
+
+        dep = AtomDeployment(small_config(variant="trap"))
+        rnd = dep.start_round(0)
+        client = Client(dep.group)
+        dep.submit_trap(rnd, b"honest", entry_gid=0, client=client)
+        pair, _ = client.prepare_trap_pair(
+            b"forged", rnd.contexts[0].public_key, rnd.trustees.public_key,
+            0, dep.spec.payload_size, dep.config.message_size,
+        )
+        first = pair.pair[1]
+        sigma = first.proofs[0].proof
+        bad = dataclasses.replace(
+            sigma, responses=((sigma.responses[0] + 1) % dep.group.q,)
+        )
+        forged = Submission(
+            vector=first.vector,
+            proofs=(EncProof(bad),) + first.proofs[1:],
+        )
+        forged_pair = dataclasses.replace(pair, pair=(pair.pair[0], forged))
+
+        node = rnd.coordinator.nodes[0]
+        before = (
+            bytes(node.holdings.raw_records()), list(node.commitments),
+            set(node._seen), bytes(rnd.holdings[0].raw_records()),
+            list(rnd.commitments[0]), dict(rnd.trap_submissions),
+            rnd._next_user_id,
+        )
+        with pytest.raises(ValueError, match="EncProof verification failed"):
+            dep.inject_trap_submission(rnd, 0, forged_pair)
+        after = (
+            bytes(node.holdings.raw_records()), list(node.commitments),
+            set(node._seen), bytes(rnd.holdings[0].raw_records()),
+            list(rnd.commitments[0]), dict(rnd.trap_submissions),
+            rnd._next_user_id,
+        )
+        assert after == before
+
     def test_wrong_variant_submission(self):
         dep = AtomDeployment(small_config(variant="trap"))
         rnd = dep.start_round(0)
@@ -254,11 +300,9 @@ class TestBlame:
         for i in range(3):
             dep.submit_trap(rnd, f"m{i}".encode(), entry_gid=i % 2)
         # Build a malicious pair: two traps.
-        from repro.core import messages as fmt
-
         ctx = rnd.contexts[1]
-        t1 = fmt.build_trap_payload(1, b"a" * 16, dep.spec.payload_size)
-        t2 = fmt.build_trap_payload(1, b"b" * 16, dep.spec.payload_size)
+        t1 = dep.spec.build_trap(1, b"a" * 16)
+        t2 = dep.spec.build_trap(1, b"b" * 16)
         s1 = client._submit_payload(t1, ctx.public_key, 1)
         s2 = client._submit_payload(t2, ctx.public_key, 1)
         malicious = TrapSubmission(pair=(s1, s2), trap_commitment=commit(t1), gid=1)

@@ -1,13 +1,18 @@
-"""Data-plane parity: batch buffers must be a pure representation change.
+"""Seeded-round digests pinned from the two-plane era.
 
-The batch data plane moves serialized record buffers instead of vector
-object lists, and may spill intake to disk — but it replicates the
-object path's rng draw order exactly, so a seeded round must produce a
-**byte-identical** :class:`~repro.core.protocol.RoundResult` on either
-plane, over either transport, spilling or not.  (Seed convention per
-``tests/net/test_transport_parity.py``: pinned seeds, strict
-comparison.)
+Until the object data plane (vector-object lists, with its own list
+``GroupContext.mix`` and ``mix_with_reenc_proofs``) was deleted, every
+seeded round below ran on both planes and produced byte-identical
+:class:`~repro.core.protocol.RoundResult`\\ s.  The SHA-256 of each
+round's canonical encoding was recorded on that last two-plane commit;
+the one remaining plane must keep reproducing it, so the batch mix
+still draws every random value in the order the object plane did —
+for the basic, NIZK and trap variants, spilling or not, over either
+transport.  (Seed convention per ``tests/net/test_transport_parity.py``:
+pinned seeds, strict comparison.)
 """
+
+import hashlib
 
 import pytest
 
@@ -15,8 +20,18 @@ from repro.core import AtomDeployment, Client, DeploymentConfig
 from repro.crypto.groups import DeterministicRng, get_group
 from repro.net.envelopes import encode_audit
 
+#: sha256(_canonical(result)), recorded with both planes in place
+OBJECT_PLANE_DIGESTS = {
+    "basic": "e499ea2ab4fc54b41eb66b4c7ca4bc940c38d4cd90b6b5efcbe9131d14102b36",
+    "nizk": "c542dfbec5d1fcd9ea95e6304b007e8456a7909dfb65663321639a6b69416bca",
+    # the spilled trap rounds (inproc and tcp) share this digest
+    "trap": "fad839bba02c07975dab5386b099abf6e946c9cf54915c5a35bf83d3541fe426",
+    "MODP2048": "97016b43c8d48d5eb622d31f55c8d111a2657038c650f964d511c025bb15a340",
+    "P256": "5d6dd558fe71e357a1ec20079d6752c7a34f9e969a34b864570468bbb4935c9a",
+}
 
-def _config(data_plane, crypto_group="TOY", variant="trap", **overrides):
+
+def _config(crypto_group="TOY", variant="trap", **overrides):
     base = dict(
         num_servers=6,
         num_groups=2,
@@ -26,7 +41,6 @@ def _config(data_plane, crypto_group="TOY", variant="trap", **overrides):
         message_size=8,
         crypto_group=crypto_group,
         nizk_rounds=4,
-        data_plane=data_plane,
     )
     base.update(overrides)
     return DeploymentConfig(**base)
@@ -65,55 +79,52 @@ def _canonical(group, result) -> bytes:
     return b"\x00".join(parts)
 
 
+def _digest(group, result) -> str:
+    return hashlib.sha256(_canonical(group, result)).hexdigest()
+
+
 @pytest.mark.parametrize("variant", ["basic", "nizk", "trap"])
 def test_batch_plane_byte_identical_to_object_plane(variant):
     group = get_group("TOY")
-    messages, batch = _run_seeded_round(_config("batch", variant=variant))
-    _, legacy = _run_seeded_round(_config("object", variant=variant))
-    assert batch.ok and legacy.ok
-    assert sorted(batch.messages) == sorted(messages)
-    assert _canonical(group, batch) == _canonical(group, legacy)
+    messages, result = _run_seeded_round(_config(variant=variant))
+    assert result.ok
+    assert sorted(result.messages) == sorted(messages)
+    assert _digest(group, result) == OBJECT_PLANE_DIGESTS[variant]
 
 
 @pytest.mark.parametrize("transport", ["inproc", "tcp"])
 def test_spilled_round_byte_identical_to_unspilled(transport):
-    """The acceptance criterion's shape: a spilling batch round equals
-    both the in-memory batch round and the object round, on inproc and
-    tcp (threshold 3 forces multiple segments at 8+ vectors/group)."""
+    """A spilling round (threshold 3 forces multiple segments at 8+
+    vectors/group) equals the in-memory round and the recorded object
+    round, on inproc and tcp."""
     group = get_group("TOY")
     _, spilled = _run_seeded_round(
-        _config("batch", transport=transport, spill_threshold=3)
+        _config(transport=transport, spill_threshold=3)
     )
-    _, unspilled = _run_seeded_round(_config("batch", transport=transport))
-    _, legacy = _run_seeded_round(_config("object", transport=transport))
-    assert spilled.ok and unspilled.ok and legacy.ok
+    _, unspilled = _run_seeded_round(_config(transport=transport))
+    assert spilled.ok and unspilled.ok
     assert _canonical(group, spilled) == _canonical(group, unspilled)
-    assert _canonical(group, spilled) == _canonical(group, legacy)
+    assert _digest(group, spilled) == OBJECT_PLANE_DIGESTS["trap"]
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("crypto_group", ["MODP2048", "P256"])
 def test_data_plane_parity_real_groups(crypto_group):
     group = get_group(crypto_group)
-    messages, batch = _run_seeded_round(
-        _config("batch", crypto_group, iterations=2, spill_threshold=2),
-        num_users=2,
+    messages, result = _run_seeded_round(
+        _config(crypto_group, iterations=2, spill_threshold=2), num_users=2
     )
-    _, legacy = _run_seeded_round(
-        _config("object", crypto_group, iterations=2), num_users=2
-    )
-    assert batch.ok and legacy.ok
-    assert sorted(batch.messages) == sorted(messages)
-    assert _canonical(group, batch) == _canonical(group, legacy)
+    assert result.ok
+    assert sorted(result.messages) == sorted(messages)
+    assert _digest(group, result) == OBJECT_PLANE_DIGESTS[crypto_group]
 
 
-def test_tampering_round_falls_back_and_still_catches():
-    """A malicious member disables streaming for its group (the tamper
-    hooks mutate object lists), but the batch plane's fallback must
-    keep the trap catch working end to end."""
+def test_tampering_round_still_catches():
+    """A malicious member's record edits ride the same batch mix; the
+    trap catch must keep working end to end."""
     from repro.core.server import Behavior
 
-    config = _config("batch")
+    config = _config()
     with AtomDeployment(config) as dep:
         rng = DeterministicRng(b"tamper-setup")
         dep.servers[0].behavior = Behavior.REPLACE_ONE

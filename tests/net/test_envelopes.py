@@ -12,6 +12,7 @@ real proofs, since the codec is agnostic to proof validity.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.batch import CiphertextBatch
 from repro.core.client import Submission, TrapSubmission
 from repro.core.group import MixAudit
 from repro.core.trustees import GroupReport
@@ -169,7 +170,9 @@ def payload_st(backend):
         st.builds(
             ev.MixBatch,
             layer=st.integers(min_value=0, max_value=31),
-            vectors=st.lists(vector_st(backend), max_size=3).map(tuple),
+            batch=st.lists(vector_st(backend), max_size=3).map(
+                lambda vecs: CiphertextBatch.from_vectors(backend, vecs)
+            ),
         ),
         st.builds(
             ev.MixSummary,
@@ -306,7 +309,10 @@ def test_every_kind_is_covered(backend):
         Kind.MIX_PENDING: ev.MixPending(layer=1),
         Kind.MIX_COLLECT: ev.MixCollect(layer=1),
         Kind.MIX_BATCH: ev.MixBatch(
-            layer=1, vectors=(CiphertextVector((AtomCiphertext(el, el, el),)),)
+            layer=1,
+            batch=CiphertextBatch.from_vectors(
+                group, [CiphertextVector((AtomCiphertext(el, el, el),))]
+            ),
         ),
         Kind.MIX_SUMMARY: ev.MixSummary(layer=1, audit=MixAudit(gid=3)),
         Kind.COMMIT_LAYER: ev.CommitLayer(layer=1),
@@ -392,7 +398,9 @@ class TestWireErrors:
         env = wrap(
             ev.MixBatch(
                 layer=0,
-                vectors=(CiphertextVector((AtomCiphertext(el, el, None),)),),
+                batch=CiphertextBatch.from_vectors(
+                    group, [CiphertextVector((AtomCiphertext(el, el, None),))]
+                ),
             ),
             0, 0, 1,
         )
@@ -425,7 +433,7 @@ class TestWireErrors:
         """Hostile counts/flags are rejected at decode, before any
         element math or allocation."""
         group = get_group("P256")
-        env = wrap(ev.MixBatch(layer=0, vectors=()), 0, 0, 1)
+        env = wrap(ev.MixBatch(layer=0, batch=CiphertextBatch(group)), 0, 0, 1)
         raw = bytearray(env.to_bytes(group))
         import struct as _struct
 

@@ -3,9 +3,9 @@
 ``RoundStats.submitted`` must count *senders*, not ciphertexts — the
 trap variant holds two ciphertexts per sender and the batch plane
 stores them as one contiguous buffer — and ``dummies`` must report the
-cover padding actually delivered.  Both must agree across data planes
-and survive the checkpoint codec (including logs from before the
-fields existed).
+cover padding actually delivered.  Both must match what the deleted
+object data plane reported and survive the checkpoint codec (including
+logs from before the fields existed).
 """
 
 import json
@@ -53,11 +53,14 @@ class TestSubmittedAndDummies:
             assert stats.dummies > 0
 
     def test_planes_agree(self):
-        batch = run_stream(users=3, data_plane="batch")
-        objects = run_stream(users=3, data_plane="object")
-        for a, b in zip(batch.rounds, objects.rounds):
-            assert (a.submitted, a.dummies) == (b.submitted, b.dummies)
-            assert sorted(a.messages) == sorted(b.messages)
+        # (submitted, dummies, deliveries) the object data plane gave
+        # for this stream before it was deleted; the batch plane agreed
+        report = run_stream(users=3)
+        for round_id, stats in enumerate(report.rounds):
+            assert (stats.submitted, stats.dummies) == (3, 1)
+            assert sorted(stats.messages) == [
+                b"r%du%d" % (round_id, u) for u in range(3)
+            ]
 
     def test_even_split_needs_no_dummies(self):
         report = run_stream(users=4)

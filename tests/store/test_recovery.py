@@ -271,3 +271,61 @@ def test_checkpoint_cadence_re_mixes_missing_layers(tmp_path):
     manager = RecoveryManager(tmp_path)
     resumed = manager.complete_round()
     assert _canonical(group, resumed) == _canonical(group, baseline)
+
+
+#: a META record in the layout logs had while a second, object-list
+#: data plane existed: it names the plane it was written with
+LEGACY_META = (
+    b'{"num_servers": 6, "num_groups": 2, "group_size": 2, '
+    b'"variant": "trap", "mode": "anytrust", "h": 1, '
+    b'"adversarial_fraction": 0.2, "iterations": 2, "message_size": 32, '
+    b'"crypto_group": "TOY", "topology": "square", "nizk_rounds": 6, '
+    b'"num_trustees": 3, "parallelism": 1, "transport": "inproc", '
+    b'"wal_fsync_every": 8, "checkpoint_every": 1, "data_plane": "batch", '
+    b'"spill_threshold": 0, "wal_segment_bytes": 8388608, '
+    b'"wal_segment_records": 0, "wal_retain_segments": 4, "seed": "6d657461"}'
+)
+
+
+def test_legacy_batch_meta_decodes():
+    from repro.store.checkpoint import decode_meta
+
+    assert decode_meta(LEGACY_META) == DeploymentConfig(
+        num_servers=6, num_groups=2, group_size=2, iterations=2, seed=b"meta"
+    )
+
+
+def test_legacy_object_meta_is_rejected():
+    from repro.store.checkpoint import decode_meta
+
+    with pytest.raises(ValueError, match="data_plane='object'"):
+        decode_meta(LEGACY_META.replace(b'"batch"', b'"object"'))
+
+
+@pytest.mark.parametrize("plane", ["batch", "object"])
+def test_resume_log_with_legacy_meta(tmp_path, monkeypatch, plane):
+    """A crashed round logged with the legacy META layout: a batch log
+    resumes byte-identical, an object log is refused up front."""
+    import json
+
+    from repro.store import checkpoint as ck
+
+    encode_meta = ck.encode_meta
+
+    def legacy_meta(config):
+        obj = json.loads(encode_meta(config))
+        obj["data_plane"] = plane
+        return json.dumps(obj).encode()
+
+    group = get_group("TOY")
+    baseline = _drive_round(_config())
+    with monkeypatch.context() as patch:
+        patch.setattr(ck, "encode_meta", legacy_meta)
+        _drive_round(_config(tmp_path), stop_after_layers=1)
+    if plane == "object":
+        with pytest.raises(ValueError, match="no longer exists"):
+            RecoveryManager(tmp_path)
+        return
+    resumed = RecoveryManager(tmp_path).complete_round()
+    assert resumed.ok
+    assert _canonical(group, resumed) == _canonical(group, baseline)
